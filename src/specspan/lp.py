@@ -1,9 +1,11 @@
-"""Small dense linear programming for the directional-domination subproblem.
+"""Small dense linear programming for directional domination and coverage.
 
 The kernel is a two-phase tableau simplex with Bland's anti-cycling rule;
-free variables are split into nonnegative parts before solving.  Sized for
-desk-scale problems (tens of variables and constraints), deterministic by
-construction.
+free variables are split into nonnegative parts before solving.  Two LPs sit
+on it: the directional-domination check (min t with <x,v> = 1 and
+|<x,u>| <= t) and its dual, the minimum-l1 representation of v over U, whose
+norm is 1/t*.  Sized for desk-scale problems (tens of variables and
+constraints), deterministic by construction.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 from .vectorset import as_matrix
 
 PIVOT_EPS = 1e-11
+RATIO_PIVOT_REL = 1e-9         # pivot floor relative to the entering column
+REDUCED_COST_NOISE_REL = 1e-9  # a ray this flat is rounding noise, not unbounded
 PHASE1_TOL = 1e-8
 COVER_SLACK_REL = 1e-9  # relative slack on the 1/sqrt(alpha) threshold
 
@@ -32,37 +36,54 @@ class ZeroVector(Exception):
     pass
 
 
+def _leaving_row(tableau: np.ndarray, basis: list[int], enter: int) -> int:
+    """Ratio test with Bland's tie-break; -1 when no row bounds the step.
+
+    A pivot must clear both PIVOT_EPS and RATIO_PIVOT_REL times the largest
+    entry of the column, so rounding noise left by earlier pivots never
+    becomes a pivot.
+    """
+    m = len(basis)
+    column = tableau[:m, enter].tolist()
+    rhs = tableau[:m, -1].tolist()
+    floor = max(PIVOT_EPS, RATIO_PIVOT_REL * max(map(abs, column), default=0.0))
+    best_ratio = math.inf
+    leave = -1
+    for i, coef in enumerate(column):
+        if coef > floor:
+            ratio = rhs[i] / coef
+            if ratio < best_ratio - PIVOT_EPS or (
+                abs(ratio - best_ratio) <= PIVOT_EPS
+                and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best_ratio = ratio
+                leave = i
+    return leave
+
+
 def _simplex(tableau: np.ndarray, basis: list[int], ncols: int) -> None:
     """Run simplex on `tableau` in place with Bland's rule.
 
     tableau rows: m constraint rows then one objective row (reduced costs,
     negated objective value in the last column).  `ncols` excludes the RHS.
+    A column with no leaving row is a ray; it proves unboundedness only when
+    its reduced cost is above noise level, and is skipped otherwise.
     """
     m = tableau.shape[0] - 1
     cap = 10_000 + 200 * (m + ncols)  # Bland terminates; cap guards fp stalls
     for _ in range(cap):
         obj = tableau[m, :ncols]
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < -PIVOT_EPS:
-                enter = j
+        enter = leave = -1
+        for j in np.flatnonzero(obj < -PIVOT_EPS):
+            leave = _leaving_row(tableau, basis, int(j))
+            if leave >= 0:
+                enter = int(j)
                 break
+            noise = REDUCED_COST_NOISE_REL * max(1.0, float(np.max(np.abs(obj))))
+            if obj[j] < -noise:
+                raise Unbounded("objective unbounded below")
         if enter < 0:
             return
-        best_ratio = math.inf
-        leave = -1
-        for i in range(m):
-            coef = tableau[i, enter]
-            if coef > PIVOT_EPS:
-                ratio = tableau[i, -1] / coef
-                if ratio < best_ratio - PIVOT_EPS or (
-                    abs(ratio - best_ratio) <= PIVOT_EPS
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            raise Unbounded("objective unbounded below")
         piv = tableau[leave, enter]
         tableau[leave] /= piv
         col = tableau[:, enter].copy()
@@ -121,6 +142,21 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> tuple[np.ndarray,
             a_std[i] *= -1.0
             b_std[i] *= -1.0
 
+    c_std = np.concatenate([c, -c, np.zeros(width - 2 * n)])
+    z = _two_phase(a_std, b_std, c_std, slack_col)
+    x = z[:n] - z[n:2 * n]
+    return x, float(c @ x)
+
+
+def _two_phase(a_std: np.ndarray, b_std: np.ndarray, c_std: np.ndarray,
+               slack_col: dict[int, int]) -> np.ndarray:
+    """Minimize c_std @ z subject to a_std @ z == b_std, z >= 0 (b_std >= 0).
+
+    `slack_col` maps a row to a column holding a unit entry in that row only,
+    usable as a ready basic variable; every other row gets an artificial.
+    Rows found redundant in phase 1 are dropped.  Returns the optimal z.
+    """
+    m, width = a_std.shape
     # Phase 1: artificials wherever the row has no ready identity column.
     basis: list[int] = []
     art_cols: list[int] = []
@@ -181,8 +217,7 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> tuple[np.ndarray,
         tab[:m, :width] = a_std
         tab[:m, -1] = b_std
 
-    # Phase 2 objective row: reduced costs for split variables.
-    c_std = np.concatenate([c, -c, np.zeros(width - 2 * n)])
+    # Phase 2 objective row: reduced costs.
     tab[m, :width] = c_std
     tab[m, -1] = 0.0
     for i, bv in enumerate(basis):
@@ -193,8 +228,26 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> tuple[np.ndarray,
     z = np.zeros(width)
     for i, bv in enumerate(basis):
         z[bv] = tab[i, -1]
-    x = z[:n] - z[n:2 * n]
-    return x, float(c @ x)
+    return z
+
+
+def l1_representation(u, v) -> np.ndarray:
+    """Minimum-l1 coefficients: argmin ||c||_1 subject to u.T @ c == v.
+
+    Solves min 1^T z over [u.T, -u.T] z = v, z >= 0 (len(v) equality rows,
+    2 len(u) columns) and returns c = z+ - z-.  Raises Infeasible when v is
+    outside span(u).
+    """
+    u = as_matrix(u)
+    v = np.asarray(v, dtype=np.float64)
+    m = u.shape[0]
+    a_std = np.hstack([u.T, -u.T])
+    b_std = v.copy()
+    flip = b_std < 0.0
+    a_std[flip] *= -1.0
+    b_std[flip] *= -1.0
+    z = _two_phase(a_std, b_std, np.ones(2 * m), {})
+    return z[:m] - z[m:]
 
 
 @dataclass

@@ -3,8 +3,8 @@
 The greedy build repeatedly finds a vector whose squared projection along some
 direction beats every chosen vector by a factor alpha, then adds the input
 vector with the largest projection along that direction.  Verification covers
-the per-direction (weak) property, per-vector domination certificates obtained
-by Frank-Wolfe over distributions on the spanner, and the k-order variant that
+the per-direction (weak) property, exact per-vector domination certificates
+from one minimum-l1 LP each (Elfving's theorem), and the k-order variant that
 mixes a volume-greedy stage with a spanner built in the projected frame.
 """
 
@@ -16,15 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .lp import DominationQuery, DominationResult, domination_check
+from .lp import (DominationQuery, DominationResult, Infeasible, cover_threshold,
+                 domination_check, l1_representation)
 from .vectorset import VectorSet, as_matrix, as_vector_set
 
 ZERO_NORM_REL = 1e-12        # ingestion: drop vectors this far below max norm
 SCREEN_SLACK = 1e-6          # safety margin of the l1 coverage pre-screen
 SPAN_RESIDUAL_REL = 1e-9     # in-span test for the pre-screen
-FW_MAX_ITERS = 2000
-FW_REL_DECREASE = 1e-10
-FW_REFRESH_EVERY = 64        # rebuild the maintained inverse this often
 CERT_SLACK = 1e-6            # certificate passes when delta >= 1/alpha - this
 NOT_IN_SPAN_REL = 1e-7
 DOMINANCE_TOL = 1e-9
@@ -83,7 +81,7 @@ class CoverageCertificate:
     vector_index: int
     support: list[tuple[int, float]]       # (spanner label, probability)
     delta: float
-    status: str = "pass"                   # "pass" | "inconclusive"
+    status: str = "pass"                   # "pass" | "fail"
 
     def passes(self, alpha: float) -> bool:
         return self.delta >= 1.0 / alpha - CERT_SLACK
@@ -227,8 +225,12 @@ def check_witness_dominance(sp: Spanner, tol: float = DOMINANCE_TOL) -> tuple[bo
 def verify_weak(vs, sp, alpha: float) -> tuple[bool, tuple[int, np.ndarray] | None]:
     """Check every input vector is dominated in every direction.
 
-    Returns (True, None) or (False, (label, x)) for the first violating vector
-    and its witness direction.
+    A vector is covered when its minimum-l1 representation over U has norm
+    at most 1/cover_threshold(alpha): by LP duality domination_check's
+    t* = 1/||c||_1, so the threshold is the same.  Any other vector goes to
+    domination_check, which settles it and supplies the witness.  Returns
+    (True, None) or (False, (label, x)) for the first violating vector and
+    its witness direction.
     """
     v = as_vector_set(vs)
     u = sp.vectors if isinstance(sp, Spanner) else as_matrix(sp)
@@ -236,35 +238,51 @@ def verify_weak(vs, sp, alpha: float) -> tuple[bool, tuple[int, np.ndarray] | No
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     max_norm = float(norms.max()) if len(x) else 0.0
     nontrivial = norms > ZERO_NORM_REL * max_norm
-    screen = _coverage_screen(x, u, alpha)
-    for i in range(len(x)):
-        if not nontrivial[i] or screen[i]:
+    frame = _span_frame(u)
+    limit = 1.0 / cover_threshold(alpha)
+    members = {row.tobytes() for row in u}
+    for i in np.flatnonzero(nontrivial):
+        if x[i].tobytes() in members:  # a member of U has t* >= 1
             continue
+        try:
+            if float(np.sum(np.abs(_l1_coefficients(x[i], *frame)))) <= limit:
+                continue
+        except NotInSpan:
+            pass
         res = domination_check(DominationQuery(x[i], u, alpha))
         if not res.covered:
             return False, (int(v.labels[i]), res.witness)
     return True, None
 
 
-def _restricted_frame(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal basis of span(U) plus coordinates of U rows and v in it."""
+def _span_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of span(U) and the coordinates of U's rows in it."""
     basis = linalg.gram_schmidt(u)
-    ut = u @ basis.T
+    return basis, u @ basis.T
+
+
+def _l1_coefficients(v: np.ndarray, basis: np.ndarray, ut: np.ndarray) -> np.ndarray:
+    """Minimum-l1 c with U^T c = v, solved in the frame where U has full rank."""
     vt = basis @ v
     resid = v - basis.T @ vt
     if linalg.vec_norm(resid) > NOT_IN_SPAN_REL * max(linalg.vec_norm(v), 1e-300):
         raise NotInSpan("vector has a component outside span(U)")
-    return basis, ut, vt
+    try:
+        return l1_representation(ut, vt)
+    except Infeasible as exc:
+        raise NotInSpan("no representation of the vector over U") from exc
 
 
 def strong_certificate(v, spanner_vectors, alpha: float,
                        vector_index: int = -1,
                        labels=None) -> CoverageCertificate:
-    """Best-found distribution mu on U with delta * vv^T <= E_mu[uu^T].
+    """Optimal distribution mu on U with delta * vv^T <= E_mu[uu^T], exactly.
 
-    Frank-Wolfe on the simplex minimizing g(p) = v^T M(p)^+ v from the uniform
-    start (which spans span(U), keeping M invertible on it throughout).  The
-    final delta is evaluated through the eigen-cutoff pseudo-inverse.
+    By Elfving's theorem, min_mu v^T M(mu)^+ v = ||c||_1^2 for the minimum-l1
+    representation U^T c = v, attained at p_j = |c_j| / ||c||_1; for that p
+    Cauchy-Schwarz gives delta = 1/||c||_1^2 (capped at 1).  The support
+    lists the spanner vectors with p_j > 0.  Status is "pass" when
+    delta >= 1/alpha - CERT_SLACK and "fail" otherwise.
     """
     u = as_matrix(spanner_vectors)
     if len(u) == 0:
@@ -282,47 +300,12 @@ def strong_certificate(v, spanner_vectors, alpha: float,
             support = [(labels[j], 1.0)]
             return CoverageCertificate(vector_index, support, 1.0, "pass")
 
-    _, ut, vt = _restricted_frame(u, v)
-    m = len(u)
-    p = np.full(m, 1.0 / m)
-    mat = (ut.T * p) @ ut
-    minv = linalg.inv_spd(mat)
-    w = minv @ vt
-    g = float(np.dot(vt, w))
-    best_g, best_p = g, p.copy()
-    for t in range(1, FW_MAX_ITERS + 1):
-        scores = (ut @ w) ** 2
-        q = int(np.argmax(scores))
-        gamma = 2.0 / (t + 2.0)
-        b = ut[q]
-        ainv = minv / (1.0 - gamma)
-        ab = ainv @ b
-        minv = ainv - np.outer(ab, ab) * (gamma / (1.0 + gamma * float(np.dot(b, ab))))
-        mat = (1.0 - gamma) * mat + gamma * np.outer(b, b)
-        p *= 1.0 - gamma
-        p[q] += gamma
-        if t % FW_REFRESH_EVERY == 0:
-            minv = linalg.inv_spd(mat)
-        w = minv @ vt
-        g_new = float(np.dot(vt, w))
-        if g_new < best_g:
-            best_g = g_new
-            best_p = p.copy()
-        decrease = g - g_new
-        g = g_new
-        if 0.0 <= decrease < FW_REL_DECREASE * max(abs(g), 1e-300):
-            break
-    best_p = best_p / float(np.sum(best_p))
-    m_full = (u.T * best_p) @ u
-    quad = linalg.pinv_quadform(m_full, v)
-    delta = min(1.0, 1.0 / quad) if quad > 0.0 else 1.0
-    cert = CoverageCertificate(
-        vector_index,
-        list(zip(labels, best_p.tolist())),
-        float(delta),
-        "pass" if delta >= 1.0 / alpha - CERT_SLACK else "inconclusive",
-    )
-    return cert
+    c = np.abs(_l1_coefficients(v, *_span_frame(u)))
+    l1 = float(np.sum(c))
+    delta = min(1.0, 1.0 / l1 ** 2)
+    support = [(labels[j], float(c[j] / l1)) for j in np.flatnonzero(c)]
+    return CoverageCertificate(vector_index, support, delta,
+                               "pass" if delta >= 1.0 / alpha - CERT_SLACK else "fail")
 
 
 def certify_all(vs, sp: Spanner, alpha: float) -> list[CoverageCertificate]:

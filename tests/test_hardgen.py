@@ -196,3 +196,15 @@ class TestLowerboundExperiment:
         sol = detmax.greedy_local_search(union, 16)
         y_labels = {int(ys.labels[0]) for ys in inst.y_sets}
         assert y_labels <= set(sol.indices)
+
+    def test_instance_that_broke_the_ratio_test(self):
+        # one capped build on this instance once raised lp.Unbounded from a
+        # ray whose reduced cost and entries were rounding noise
+        d, big_m, cap = 12, 1e6, 12
+        inst = gen_hard_instance(d, 1.0, big_m, seed=68483824, n_override=96)
+        rep = lowerbound_experiment(inst, cap)
+        assert len(rep.survived) == d - inst.m
+        assert all(s <= cap for s in rep.coreset_sizes)
+        assert rep.ratio == pytest.approx(rep.objective / big_m ** (2 * inst.m), rel=1e-12)
+        x = inst.parts.union.vectors
+        assert 0.0 < rep.objective <= float(np.linalg.det(x.T @ x)) * (1.0 + 1e-9)

@@ -1,12 +1,17 @@
-"""Simplex kernel and the directional-domination wrapper."""
+"""Simplex kernel, the directional-domination wrapper and the l1 solve."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 
+from specspan.coreset import PartitionScheme, Solver, partition, run_pipeline
 from specspan.lp import (DominationQuery, Infeasible, Unbounded, ZeroVector,
-                         cover_threshold, domination_check, solve_lp)
+                         cover_threshold, domination_check, l1_representation,
+                         solve_lp)
+from specspan.spanner import build_k_spanner, check_witness_dominance
+from specspan.vectorset import VectorSet
 from conftest import enumerate_lp_vertices
 
 E1 = np.array([1.0, 0.0])
@@ -124,3 +129,55 @@ class TestDominationCheck:
     def test_cover_threshold_slack(self):
         assert cover_threshold(4.0) == pytest.approx(0.5, rel=1e-8)
         assert cover_threshold(4.0) < 0.5
+
+
+class TestL1Representation:
+    def test_analytic_diagonal(self):
+        c = l1_representation(np.array([E1, E2]), E1 + E2)
+        assert np.allclose(c, [1.0, 1.0])
+
+    def test_prefers_the_long_vector(self):
+        # v = 2 e1 from {e1, 2 e1, e2}: one unit of the long vector beats two
+        c = l1_representation(np.array([E1, 2.0 * E1, E2]), 2.0 * E1)
+        assert np.allclose(c, [0.0, 1.0, 0.0])
+
+    def test_negative_coefficients(self):
+        c = l1_representation(np.array([E1, E2]), np.array([-3.0, 0.5]))
+        assert np.allclose(c, [-3.0, 0.5])
+
+    def test_outside_span_is_infeasible(self):
+        with pytest.raises(Infeasible):
+            l1_representation(np.array([[1.0, 0.0, 0.0]]), np.array([0.0, 1.0, 0.0]))
+
+    def test_norm_is_inverse_domination_margin(self, rng):
+        for _ in range(20):
+            us = rng.standard_normal((5, 3))
+            v = rng.standard_normal(3)
+            c = l1_representation(us, v)
+            assert np.allclose(us.T @ c, v, atol=1e-12)
+            t_star = domination_check(DominationQuery(v, us, 2.0)).margin
+            assert float(np.sum(np.abs(c))) == pytest.approx(1.0 / t_star, rel=1e-9)
+
+
+def pipeline_sphere_input(seed: int, index: int) -> tuple[np.ndarray, int]:
+    """Input `index` of the pipeline-sphere benchmark workload at `seed`."""
+    gen = np.random.default_rng([seed, zlib.crc32(b"pipeline-sphere"), index])
+    g = gen.standard_normal((200, 16))
+    return g / np.linalg.norm(g, axis=1, keepdims=True), int(gen.integers(2**31))
+
+
+class TestNumericalRegressions:
+    @pytest.mark.parametrize("seed,index", [(2005, 0), (2005, 52), (2003, 9)])
+    def test_pipeline_inputs_that_broke_the_ratio_test(self, seed, index):
+        # Each input has a 50-vector part whose k=2 spanner build once raised
+        # Unbounded (a ray made of 1e-17 entries with reduced cost -1.7e-11)
+        # or "simplex returned an infeasible point" (a noise-sized pivot).
+        x, job_seed = pipeline_sphere_input(seed, index)
+        pin = partition(VectorSet(x), 4, PartitionScheme.ROUND_ROBIN, seed=job_seed)
+        for part in pin.parts:
+            sp = build_k_spanner(part, 2)
+            assert check_witness_dominance(sp)[0]
+        rep = run_pipeline(pin, 2, solver=Solver.GREEDY_LOCAL, seed=job_seed)
+        labels = rep.config["union_labels"]
+        assert len(set(labels)) == len(labels) == rep.union_size == sum(rep.coreset_sizes)
+        assert rep.guarantee <= rep.ratio <= 1.0 + 1e-9

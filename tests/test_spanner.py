@@ -4,18 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specspan import linalg
+from specspan.lp import DominationQuery, domination_check
 from specspan.spanner import (NotInSpan, SpannerParams, build_d_spanner,
                               build_k_spanner, certify_all,
                               check_witness_dominance,
                               projection_domination_holds, strong_certificate,
                               verify_k_spanner, verify_weak, volume_greedy)
 from specspan.vectorset import VectorSet
-from conftest import unit_rows
+from conftest import enumerate_lp_vertices, unit_rows
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+I3 = np.eye(3)
+ENTRY = st.floats(-2.0, 2.0).filter(lambda t: t == 0.0 or abs(t) >= 1e-3)
 
 
 def default_alpha(d: int) -> float:
@@ -139,6 +144,51 @@ class TestStrongCertificate:
         with pytest.raises(NotInSpan):
             strong_certificate(np.array([0.0, 0.0, 1.0]),
                                np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 4.0)
+
+    def test_all_ones_over_axes_fails_at_four(self):
+        # the minimum-l1 representation of E1+E2+E3 over the axes is (1,1,1):
+        # delta = 1/9 < 1/4, and the weak check finds a direction to match
+        v = I3[0] + I3[1] + I3[2]
+        cert = strong_certificate(v, I3, 4.0)
+        assert cert.delta == pytest.approx(1.0 / 9.0, rel=1e-12)
+        assert cert.status == "fail" and not cert.passes(4.0)
+        assert sorted(p for _, p in cert.support) == pytest.approx([1 / 3] * 3)
+        ok, violation = verify_weak(VectorSet(np.array([v])), I3, 4.0)
+        assert not ok
+        label, x = violation
+        assert label == 0
+        assert float(x @ v) ** 2 > 4.0 * float(np.max((I3 @ x) ** 2))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(d, 4).flatmap(lambda m: st.lists(
+            ENTRY, min_size=(m + 1) * d, max_size=(m + 1) * d)))))
+    def test_exact_against_vertex_enumeration(self, case):
+        # ||c||_1 is the optimum of min 1^T z over [U^T, -U^T] z = v, z >= 0
+        # (found by enumerating vertices); p = |c|/||c||_1 attains
+        # v^T M(p)^+ v = ||c||_1^2, and t* of the domination LP is 1/||c||_1.
+        # Entries are 0 or at least 1e-3 in size: the enumeration accepts
+        # points within 1e-8 of feasible, so smaller entries blur its optimum
+        d, flat = case
+        arr = np.array(flat).reshape(-1, d)
+        u, v = arr[:-1], arr[-1]
+        m = len(u)
+        assume(np.linalg.svd(u, compute_uv=False)[-1] >= 0.05)
+        assume(np.linalg.norm(v) >= 0.05)
+        assume(not any(np.array_equal(row, v) for row in u))
+        _, ref = enumerate_lp_vertices(np.ones(2 * m), np.hstack([u.T, -u.T]), v,
+                                       -np.eye(2 * m), np.zeros(2 * m))
+        cert = strong_certificate(v, u, 4.0)
+        lbls = [lbl for lbl, _ in cert.support]
+        p = np.array([prob for _, prob in cert.support])
+        assert np.all(p > 0.0) and float(np.sum(p)) == pytest.approx(1.0, abs=1e-12)
+        assert cert.delta == pytest.approx(min(1.0, 1.0 / ref ** 2), rel=1e-9)
+        quad = float(v @ np.linalg.pinv((u[lbls].T * p) @ u[lbls]) @ v)
+        assert quad == pytest.approx(ref ** 2, rel=1e-9)
+        if ref >= 1.0:
+            assert quad == pytest.approx(1.0 / cert.delta, rel=1e-9)
+        margin = domination_check(DominationQuery(v, u, 4.0)).margin
+        assert margin == pytest.approx(1.0 / ref, rel=1e-9)
 
     def test_weak_implies_strong(self, rng):
         # every vector of a built spanner's input earns a passing certificate
