@@ -15,8 +15,8 @@ import time
 import numpy as np
 
 from . import detmax, hardgen
-from .coreset import (BadPartColumn, PartitionedInput, PartitionScheme, Solver,
-                      partition, run_pipeline)
+from .coreset import (REPORT_VERSION, BadPartColumn, PartitionedInput,
+                      PartitionScheme, Solver, partition, run_pipeline, solve)
 from .formats import FormatError, read_vector_file, report_json, write_report, write_vector_file
 from .spanner import SpannerParams, build_k_spanner, certify_all, verify_k_spanner, verify_weak
 
@@ -25,22 +25,12 @@ EXIT_USAGE = 2
 EXIT_GENERATION = 3
 EXIT_VERIFY = 4
 
+SOLVERS = [s.value for s in Solver]
 
-def _empty_report(config: dict, seed: int | None) -> dict:
-    return {
-        "config": config,
-        "parts": None,
-        "coreset_sizes": None,
-        "union_size": None,
-        "objective": None,
-        "reference": None,
-        "ratio": None,
-        "guarantee": None,
-        "comm_bytes": None,
-        "timings_ms": {},
-        "seed": seed,
-        "version": "1",
-    }
+
+def _report(config: dict, timings_ms: dict, **fields) -> dict:
+    return {"config": config, **fields, "timings_ms": timings_ms,
+            "version": REPORT_VERSION}
 
 
 def _cmd_gen(args) -> int:
@@ -77,9 +67,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_spanner(args) -> int:
-    if args.alpha is not None and args.alpha < 1.0:
-        print("--alpha must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         vs, _, _ = read_vector_file(args.input)
     except FormatError as exc:
@@ -106,15 +93,14 @@ def _cmd_spanner(args) -> int:
     if args.verify != "none":
         verdict = "pass" if ok else "fail"
     t_verify = time.perf_counter()
-    report = _empty_report({
+    report = _report({
         "command": "spanner", "input": args.input, "k": k,
         "alpha": sp.alpha, "verify": args.verify,
         "size": sp.size, "indices": list(sp.indices), "verdict": verdict,
-    }, None)
-    report["timings_ms"] = {
+    }, {
         "build": (t_build - t0) * 1e3,
         "verify": (t_verify - t_build) * 1e3,
-    }
+    })
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report_json(report))
@@ -136,16 +122,7 @@ def _cmd_detmax(args) -> int:
         return EXIT_USAGE
     t0 = time.perf_counter()
     try:
-        if args.method == "brute":
-            sol = detmax.brute_force_detmax(vs, args.k)
-        elif args.method == "greedy":
-            sol = detmax.greedy_local_search(vs, args.k)
-        else:
-            if args.k != vs.dim:
-                raise detmax.Degenerate(
-                    f"fw-round requires --k equal to the dimension ({vs.dim})")
-            frac = detmax.fractional_detmax(vs, args.k)
-            sol = detmax.nikolov_round(vs, frac, args.k, args.trials, args.seed).best
+        sol = solve(vs, args.k, Solver(args.method), args.trials, args.seed)
     except (detmax.TooLarge, detmax.Degenerate) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GENERATION
@@ -153,13 +130,11 @@ def _cmd_detmax(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     elapsed = (time.perf_counter() - t0) * 1e3
-    report = _empty_report({
+    report = _report({
         "command": "detmax", "input": args.input, "k": args.k,
         "method": args.method, "trials": args.trials,
         "indices": list(sol.indices),
-    }, args.seed)
-    report["objective"] = sol.value
-    report["timings_ms"] = {"solve": elapsed}
+    }, {"solve": elapsed}, objective=sol.value, seed=args.seed)
     write_report(report, args.out)
     return EXIT_OK
 
@@ -183,9 +158,8 @@ def _cmd_pipeline(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     params = SpannerParams(k=args.k, alpha=args.alpha, alpha_scale=args.alpha_scale)
-    solver = {s.value: s for s in Solver}[args.solver]
     try:
-        report = run_pipeline(pinput, args.k, params=params, solver=solver,
+        report = run_pipeline(pinput, args.k, params=params, solver=Solver(args.solver),
                               seed=args.seed, trials=args.trials)
     except (detmax.TooLarge, detmax.Degenerate) as exc:
         print(f"guard: {exc}", file=sys.stderr)
@@ -237,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     dm = sub.add_parser("detmax", help="offline determinant maximization")
     dm.add_argument("--input", required=True)
     dm.add_argument("--k", type=int, required=True)
-    dm.add_argument("--method", choices=["brute", "greedy", "fw-round"], default="greedy")
+    dm.add_argument("--method", choices=SOLVERS, default=Solver.GREEDY_LOCAL.value)
     dm.add_argument("--trials", type=int, default=1000)
     dm.add_argument("--seed", type=int, default=0)
     dm.add_argument("--out", default=None)
@@ -250,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--k", type=int, required=True)
     pl.add_argument("--alpha", type=float, default=None)
     pl.add_argument("--alpha-scale", dest="alpha_scale", type=float, default=1.0)
-    pl.add_argument("--solver", choices=["brute", "greedy", "fw-round"], default="greedy")
+    pl.add_argument("--solver", choices=SOLVERS, default=Solver.GREEDY_LOCAL.value)
     pl.add_argument("--seed", type=int, default=0)
     pl.add_argument("--trials", type=int, default=1000)
     pl.add_argument("--report", default=None)

@@ -1,7 +1,9 @@
 """Composable core-set pipeline: partition, per-part spanners, union, solve.
 
-Each machine's core-set is exactly its k-spanner; the union is solved offline
-by the requested solver and compared against the same solver on the full data.
+Each machine's core-set is exactly its k-spanner.  `compose` is the one path
+from parts to a solved union; the pipeline, its streaming variant and the
+lower-bound experiment all go through it.  The pipeline compares the union's
+solution against the same solver on the full data.
 The report carries the certified lower bound (e * alpha)^(-k) next to the
 measured ratio, plus communication and timing accounting.
 """
@@ -17,9 +19,11 @@ import numpy as np
 
 from . import detmax
 from .rng import derive_seed, generator
-from .spanner import SpannerParams, build_k_spanner
+from .spanner import Spanner, SpannerParams, build_k_spanner
 from .util import ordered_map
 from .vectorset import VectorSet, as_vector_set
+
+REPORT_VERSION = "2"  # JSON report layout shared with the CLI
 
 
 class PartitionScheme(Enum):
@@ -76,7 +80,6 @@ class PipelineReport:
     def to_dict(self) -> dict:
         out = {
             "config": self.config,
-            "parts": [{"coreset_size": s} for s in self.coreset_sizes],
             "coreset_sizes": list(self.coreset_sizes),
             "union_size": self.union_size,
             "objective": self.objective,
@@ -86,7 +89,7 @@ class PipelineReport:
             "comm_bytes": self.comm_bytes,
             "timings_ms": self.timings_ms,
             "seed": self.seed,
-            "version": "1",
+            "version": REPORT_VERSION,
         }
         if self.peak_retained is not None:
             out["peak_retained"] = self.peak_retained
@@ -119,13 +122,67 @@ def partition(vs, p: int, scheme: PartitionScheme = PartitionScheme.ROUND_ROBIN,
     )
 
 
-def _solve(vs: VectorSet, k: int, solver: Solver, seed: int, trials: int) -> detmax.Solution:
+def solve(vs: VectorSet, k: int, solver: Solver, trials: int,
+          round_seed: int) -> detmax.Solution:
+    """Offline detmax by `solver`; `round_seed` seeds fw-round's rounding."""
     if solver is Solver.BRUTE:
         return detmax.brute_force_detmax(vs, k)
     if solver is Solver.GREEDY_LOCAL:
         return detmax.greedy_local_search(vs, k)
+    if k != vs.dim:
+        raise detmax.Degenerate(
+            f"fw-round requires k equal to the dimension ({vs.dim})")
     frac = detmax.fractional_detmax(vs, k)
-    return detmax.nikolov_round(vs, frac, k, trials, derive_seed(seed, "round")).best
+    return detmax.nikolov_round(vs, frac, k, trials, round_seed).best
+
+
+@dataclass
+class Composition:
+    """Per-part spanners, their union and the solve on it."""
+    spanners: list[Spanner | None]   # None for an empty part
+    union: VectorSet                 # spanner rows in (part, selection) order
+    solution: detmax.Solution
+    alpha: float                     # largest alpha any part was built with
+    timings_ms: dict[str, float]
+
+    @property
+    def sizes(self) -> list[int]:
+        return [sp.size if sp is not None else 0 for sp in self.spanners]
+
+
+def compose(pinput: PartitionedInput, k: int,
+            params: SpannerParams | None = None,
+            solver: Solver = Solver.GREEDY_LOCAL,
+            seed: int = 0, trials: int = 1000,
+            max_size: int | None = None) -> Composition:
+    """Per-part k-spanners, union in (part, local) order, offline solve.
+
+    The composed core-set is only as good as its weakest part, so the alpha
+    reported is the largest one a non-empty part was built with.
+    """
+    params = params or SpannerParams(k=k)
+    full = pinput.union
+    if k > full.dim:
+        raise ValueError(f"k={k} exceeds dimension {full.dim}")
+    t0 = time.perf_counter()
+    spanners = ordered_map(
+        lambda part: build_k_spanner(part, k, params=params, max_size=max_size)
+        if len(part) else None,
+        pinput.parts,
+    )
+    t_span = time.perf_counter()
+    label_pos = {int(lbl): i for i, lbl in enumerate(full.labels)}
+    union = full.subset([label_pos[lbl] for sp in spanners if sp is not None
+                         for lbl in sp.indices])
+    sol = solve(union, k, solver, trials, derive_seed(seed, "round"))
+    t_solve = time.perf_counter()
+    alpha = max((sp.alpha for sp in spanners if sp is not None),
+                default=params.resolve_alpha(full.dim))
+    return Composition(
+        spanners=spanners, union=union, solution=sol, alpha=alpha,
+        timings_ms={"spanner": (t_span - t0) * 1e3,
+                    "solve": (t_solve - t_span) * 1e3},
+    )
 
 
 def run_pipeline(pinput: PartitionedInput, k: int,
@@ -133,118 +190,67 @@ def run_pipeline(pinput: PartitionedInput, k: int,
                  solver: Solver = Solver.GREEDY_LOCAL,
                  seed: int = 0, trials: int = 1000,
                  coreset_cap: int | None = None) -> PipelineReport:
-    """Per-part k-spanners, union in (part, local) order, offline solve."""
-    params = params or SpannerParams(k=k)
-    full = pinput.union
-    d = full.dim
-    if k > d:
-        raise ValueError(f"k={k} exceeds dimension {d}")
+    """compose(), then the same solver on the full data as the reference."""
     t0 = time.perf_counter()
-    spanners = ordered_map(
-        lambda part: build_k_spanner(part, k, params=params, max_size=coreset_cap)
-        if len(part) else None,
-        pinput.parts,
-    )
-    t_span = time.perf_counter()
-    label_pos = {int(lbl): i for i, lbl in enumerate(full.labels)}
-    union_positions = [label_pos[lbl] for sp in spanners if sp is not None
-                       for lbl in sp.indices]
-    union = full.subset(union_positions)
-    sol = _solve(union, k, solver, seed, trials)
-    t_solve = time.perf_counter()
-    ref = _solve(full, k, solver, derive_seed(seed, "reference"), trials)
+    comp = compose(pinput, k, params, solver, seed, trials, max_size=coreset_cap)
+    full = pinput.union
+    t_ref0 = time.perf_counter()
+    ref = solve(full, k, solver, trials,
+                derive_seed(derive_seed(seed, "reference"), "round"))
     t_ref = time.perf_counter()
-    alpha = next((sp.alpha for sp in spanners if sp is not None),
-                 params.resolve_alpha(d))
+    sol = comp.solution
     ratio = (sol.value / ref.value if ref.value > 0
              else (1.0 if sol.value <= 0 else math.inf))
-    sizes = [sp.size if sp is not None else 0 for sp in spanners]
-    report = PipelineReport(
+    sizes = comp.sizes
+    return PipelineReport(
         coreset_sizes=sizes,
-        union_size=len(union),
+        union_size=len(comp.union),
         objective=sol.value,
         reference_kind=solver.value if solver is not Solver.BRUTE else "brute",
         reference_value=ref.value,
         ratio=ratio,
-        guarantee=(math.e * alpha) ** (-k),
-        comm_bytes=8 * d * sum(sizes),
+        guarantee=(math.e * comp.alpha) ** (-k),
+        comm_bytes=8 * full.dim * sum(sizes),
         timings_ms={
-            "spanner": (t_span - t0) * 1e3,
-            "solve": (t_solve - t_span) * 1e3,
-            "reference": (t_ref - t_solve) * 1e3,
+            **comp.timings_ms,
+            "reference": (t_ref - t_ref0) * 1e3,
             "total": (t_ref - t0) * 1e3,
         },
         seed=seed,
         config={
             "k": k,
-            "alpha": alpha,
+            "alpha": comp.alpha,
             "solver": solver.value,
             "parts": len(pinput),
             "n": len(full),
-            "d": d,
-            "union_labels": [int(lbl) for sp in spanners if sp is not None
-                             for lbl in sp.indices],
+            "d": full.dim,
+            "union_labels": [int(lbl) for lbl in comp.union.labels],
         },
     )
-    return report
 
 
 def stream_pipeline(vs, block_size: int, k: int,
                     params: SpannerParams | None = None,
                     solver: Solver = Solver.GREEDY_LOCAL,
                     seed: int = 0, trials: int = 1000) -> PipelineReport:
-    """One-pass variant: a core-set per block, final solve on their union."""
+    """One-pass variant: run_pipeline with contiguous blocks as the parts.
+
+    peak_retained is what a single pass would hold at once: the core-sets of
+    the blocks before a block plus that block, or the final union.
+    """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     v = as_vector_set(vs)
     n = len(v)
-    params = params or SpannerParams(k=k)
-    t0 = time.perf_counter()
-    retained: list[VectorSet] = []
-    retained_count = 0
-    peak = 0
-    sizes = []
-    for start in range(0, n, block_size):
-        block = v.subset(np.arange(start, min(start + block_size, n)))
-        peak = max(peak, retained_count + len(block))
-        sp = build_k_spanner(block, k, params=params)
-        label_pos = {int(lbl): i for i, lbl in enumerate(block.labels)}
-        retained.append(block.subset([label_pos[lbl] for lbl in sp.indices]))
-        retained_count += sp.size
-        sizes.append(sp.size)
-    t_span = time.perf_counter()
-    union = VectorSet.concat(retained)
-    peak = max(peak, len(union))
-    sol = _solve(union, k, solver, seed, trials)
-    t_solve = time.perf_counter()
-    ref = _solve(v, k, solver, derive_seed(seed, "reference"), trials)
-    t_ref = time.perf_counter()
-    alpha = params.resolve_alpha(v.dim)
-    ratio = (sol.value / ref.value if ref.value > 0
-             else (1.0 if sol.value <= 0 else math.inf))
-    return PipelineReport(
-        coreset_sizes=sizes,
-        union_size=len(union),
-        objective=sol.value,
-        reference_kind=solver.value if solver is not Solver.BRUTE else "brute",
-        reference_value=ref.value,
-        ratio=ratio,
-        guarantee=(math.e * alpha) ** (-k),
-        comm_bytes=8 * v.dim * len(union),
-        timings_ms={
-            "spanner": (t_span - t0) * 1e3,
-            "solve": (t_solve - t_span) * 1e3,
-            "reference": (t_ref - t_solve) * 1e3,
-            "total": (t_ref - t0) * 1e3,
-        },
-        seed=seed,
-        config={
-            "k": k,
-            "alpha": alpha,
-            "solver": solver.value,
-            "block_size": block_size,
-            "n": n,
-            "d": v.dim,
-        },
-        peak_retained=peak,
-    )
+    blocks = [v.subset(np.arange(start, min(start + block_size, n)))
+              for start in range(0, n, block_size)]
+    report = run_pipeline(PartitionedInput(blocks), k, params=params,
+                          solver=solver, seed=seed, trials=trials)
+    kept = 0
+    peak = report.union_size
+    for block, size in zip(blocks, report.coreset_sizes):
+        peak = max(peak, kept + len(block))
+        kept += size
+    report.peak_retained = peak
+    report.config["block_size"] = block_size
+    return report

@@ -11,16 +11,13 @@ random +-1 family on which small spanners are impossible.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import detmax, linalg
-from .coreset import PartitionedInput
+from . import linalg
+from .coreset import PartitionedInput, compose
 from .rng import derive_seed, generator
-from .spanner import SpannerParams, build_k_spanner
-from .util import ordered_map
 from .vectorset import VectorSet
 
 PM1_COUNT_GUARD = 10**4      # desk-scale stand-in for exp(d^0.5 / 8)
@@ -252,36 +249,16 @@ def lowerbound_experiment(inst: HardInstance, coreset_size_cap: int,
     The reference is the planted solution value M^(2m); the full-data optimum
     is never brute-forced.
     """
-    d = inst.d
-    t0 = time.perf_counter()
-    params = SpannerParams(k=d)
-    spanners = ordered_map(
-        lambda part: build_k_spanner(part, d, params=params,
-                                     max_size=coreset_size_cap),
-        inst.parts.parts,
-    )
-    t_span = time.perf_counter()
-    survived = []
-    for xs, sp, planted in zip(inst.x_sets, spanners[: d - inst.m], inst.planted):
-        survived.append(planted in sp.indices)
-    full = inst.parts.union
-    label_pos = {int(lbl): i for i, lbl in enumerate(full.labels)}
-    union_positions = [label_pos[lbl] for sp in spanners for lbl in sp.indices]
-    union = full.subset(union_positions)
-    sol = detmax.greedy_local_search(union, d)
-    t_solve = time.perf_counter()
+    comp = compose(inst.parts, inst.d, max_size=coreset_size_cap)
+    x_spanners = comp.spanners[: inst.d - inst.m]
     planted_value = inst.big_m ** (2 * inst.m)
     return LowerboundReport(
-        survived=survived,
-        coreset_sizes=[sp.size for sp in spanners],
-        objective=sol.value,
+        survived=[planted in sp.indices for sp, planted in zip(x_spanners, inst.planted)],
+        coreset_sizes=comp.sizes,
+        objective=comp.solution.value,
         planted_value=planted_value,
-        ratio=sol.value / planted_value,
+        ratio=comp.solution.value / planted_value,
         m=inst.m,
         seed=seed,
-        timings_ms={
-            "spanner": (t_span - t0) * 1e3,
-            "solve": (t_solve - t_span) * 1e3,
-            "total": (t_solve - t0) * 1e3,
-        },
+        timings_ms={**comp.timings_ms, "total": sum(comp.timings_ms.values())},
     )

@@ -1,7 +1,7 @@
 """Dense real linear algebra kernel.
 
 Jacobi symmetric eigendecomposition, Gram-Schmidt, orthogonal projection,
-pseudo-inverse quadratic forms, the elementary-symmetric determinant det_k,
+the eigen-cutoff pseudo-inverse, the elementary-symmetric determinant det_k,
 and the eigenvalue-tail order check between symmetric matrices.  Factorization
 algorithms are implemented here directly on float64 arrays; numpy supplies
 array arithmetic only.
@@ -21,12 +21,7 @@ EIG_SWEEP_CAP = 100       # sweep limit; breaching it is an internal failure
 PSD_CLAMP_REL = 1e-8      # eigenvalue clamp window for nominally-PSD input
 GS_DROP_REL = 1e-10       # Gram-Schmidt drop rule vs max input norm
 PINV_CUTOFF_REL = 1e-10   # pseudo-inverse eigenvalue cutoff vs lambda_max
-PINV_NULL_REL = 1e-7      # allowed null-space component of v vs ||v||
 DEFAULT_ORDER_TOL = 1e-9  # default slack for preceq_k
-
-
-class NotInRange(Exception):
-    """v has a component outside the range of the PSD matrix."""
 
 
 def as_vector(v) -> np.ndarray:
@@ -203,31 +198,6 @@ def gram_schmidt(vs) -> np.ndarray:
     if not basis:
         return np.zeros((0, x.shape[1]))
     return np.array(basis)
-
-
-def pinv_quadform(m, v) -> float:
-    """v^T M^+ v for PSD M via eigen-cutoff pseudo-inverse.
-
-    Raises NotInRange when v has a component of relative size > PINV_NULL_REL
-    outside the numerical range of M.
-    """
-    w, vecs = sym_eig(m)
-    vv = as_vector(v)
-    if vv.shape[0] != w.shape[0]:
-        raise ValueError("dimension mismatch between M and v")
-    lam_max = max(float(w[0]), 0.0)
-    cutoff = PINV_CUTOFF_REL * lam_max
-    coeffs = vecs.T @ vv
-    keep = w > cutoff
-    null_norm = math.sqrt(float(np.sum(coeffs[~keep] ** 2)))
-    if null_norm > PINV_NULL_REL * vec_norm(vv):
-        raise NotInRange(
-            f"null-space component {null_norm:.3e} exceeds "
-            f"{PINV_NULL_REL:.0e} * ||v||"
-        )
-    if not np.any(keep):
-        return 0.0
-    return float(np.sum(coeffs[keep] ** 2 / w[keep]))
 
 
 def pinv_psd(a) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 from specspan.coreset import (BadPartColumn, PartitionedInput, PartitionScheme,
                               Solver, partition, run_pipeline, stream_pipeline)
-from specspan.spanner import verify_weak
+from specspan.spanner import SpannerParams, build_k_spanner, verify_weak
 from specspan.vectorset import VectorSet
 from conftest import unit_rows
 
@@ -127,6 +127,34 @@ class TestRunPipeline:
             results.append((rep.coreset_sizes, rep.objective, rep.ratio,
                             rep.config["union_labels"]))
         assert results[0] == results[1]
+
+
+class TestReportedAlpha:
+    """The guarantee must rest on the alpha every part was actually built with."""
+
+    d, k = 16, 2
+
+    def rows(self):
+        return VectorSet(unit_rows(np.random.default_rng(0), 120, self.d))
+
+    def test_unequal_parts_report_the_largest_alpha(self):
+        vs = self.rows()
+        pin = partition(vs, 2, PartitionScheme.FROM_FILE,
+                        part_ids=np.array([0] * 6 + [1] * 114))
+        alphas = [build_k_spanner(part, self.k).alpha for part in pin.parts]
+        assert alphas[0] < alphas[1]  # the small part spans fewer directions
+        rep = run_pipeline(pin, self.k, solver=Solver.GREEDY_LOCAL)
+        assert rep.config["alpha"] == max(alphas)
+        assert rep.guarantee == pytest.approx((math.e * max(alphas)) ** -self.k)
+
+    def test_stream_reports_the_alpha_its_blocks_used(self):
+        vs = self.rows()
+        rep = stream_pipeline(vs, 60, self.k, solver=Solver.GREEDY_LOCAL)
+        alphas = [build_k_spanner(vs.subset(np.arange(s, s + 60)), self.k).alpha
+                  for s in (0, 60)]
+        assert rep.config["alpha"] == max(alphas)
+        assert rep.config["alpha"] != SpannerParams(k=self.k).resolve_alpha(self.d)
+        assert rep.guarantee == pytest.approx((math.e * max(alphas)) ** -self.k)
 
 
 class TestStreamPipeline:

@@ -175,6 +175,15 @@ class TestCli:
         assert code == 3
         assert "guard" in err
 
+    def test_pipeline_fw_round_requires_full_k(self, tmp_path, capsys):
+        data = tmp_path / "t.csv"
+        write_vector_file(str(data), VectorSet(
+            np.random.default_rng(4).standard_normal((20, 6))))
+        code, _, err = run_cli(["pipeline", "--input", str(data), "--k", "3",
+                                "--solver", "fw-round"], capsys)
+        assert code == 3
+        assert "guard" in err
+
     def test_detmax_brute_guard_exit_3(self, tmp_path, capsys, rng):
         data = tmp_path / "big.csv"
         write_vector_file(str(data), VectorSet(rng.standard_normal((80, 2))))

@@ -199,23 +199,13 @@ class TestGramSchmidt:
             assert np.allclose(proj, row, atol=1e-9)
 
 
-class TestPinvQuadform:
-    def test_identity(self):
-        assert linalg.pinv_quadform(np.eye(2), [1.0, 0.0]) == pytest.approx(1.0)
-
-    def test_range_restriction(self):
-        assert linalg.pinv_quadform(np.diag([2.0, 0.0]), [1.0, 0.0]) == pytest.approx(0.5)
-
-    def test_null_component_raises(self):
-        with pytest.raises(linalg.NotInRange):
-            linalg.pinv_quadform(np.diag([2.0, 0.0]), [0.0, 1.0])
-
+class TestPinvPsd:
     def test_matches_numpy_pinv(self, rng):
         a = random_psd(rng, 5, rank=3)
-        v = a @ rng.standard_normal(5)  # guaranteed in range(a)
-        mine = linalg.pinv_quadform(a, v)
-        ref = float(v @ np.linalg.pinv(a) @ v)
-        assert mine == pytest.approx(ref, rel=1e-8)
+        assert np.allclose(linalg.pinv_psd(a), np.linalg.pinv(a), atol=1e-9)
+
+    def test_zero_matrix(self):
+        assert np.array_equal(linalg.pinv_psd(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
 class TestCholeskyHelpers:
