@@ -154,7 +154,7 @@ def _cmd_pipeline(args) -> int:
             pinput = partition(vs, args.parts, scheme, seed=args.seed)
         else:
             pinput = PartitionedInput([vs])
-    except BadPartColumn as exc:
+    except (BadPartColumn, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     params = SpannerParams(k=args.k, alpha=args.alpha, alpha_scale=args.alpha_scale)
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "alpha", None) is not None and args.alpha < 1.0:
+    if getattr(args, "alpha", None) is not None and not args.alpha >= 1.0:
         print("--alpha must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     return args.func(args)

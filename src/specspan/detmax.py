@@ -249,6 +249,8 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
     Each trial has its own derived Philox stream so trials are independent and
     order-insensitive; the mean uses numpy's pairwise summation.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1 (got {trials})")
     v = as_vector_set(vs)
     x = v.vectors
     s = sol.weights

@@ -1,10 +1,10 @@
 """Dense real linear algebra kernel.
 
 Jacobi symmetric eigendecomposition, Gram-Schmidt, orthogonal projection,
-the eigen-cutoff pseudo-inverse, the elementary-symmetric determinant det_k,
-and the eigenvalue-tail order check between symmetric matrices.  Factorization
-algorithms are implemented here directly on float64 arrays; numpy supplies
-array arithmetic only.
+the elementary-symmetric determinant det_k, the eigenvalue-tail order check
+between symmetric matrices, and Cholesky solves for positive-definite
+systems.  Factorization algorithms are implemented here directly on float64
+arrays; numpy supplies array arithmetic only.
 
 Tolerances are module-level constants; override by assignment before use.
 """
@@ -20,7 +20,6 @@ EIG_OFFDIAG_REL = 1e-12   # Jacobi stop: off-diagonal Frobenius vs ||A||_F
 EIG_SWEEP_CAP = 100       # sweep limit; breaching it is an internal failure
 PSD_CLAMP_REL = 1e-8      # eigenvalue clamp window for nominally-PSD input
 GS_DROP_REL = 1e-10       # Gram-Schmidt drop rule vs max input norm
-PINV_CUTOFF_REL = 1e-10   # pseudo-inverse eigenvalue cutoff vs lambda_max
 DEFAULT_ORDER_TOL = 1e-9  # default slack for preceq_k
 
 
@@ -200,17 +199,6 @@ def gram_schmidt(vs) -> np.ndarray:
     return np.array(basis)
 
 
-def pinv_psd(a) -> np.ndarray:
-    """Eigen-cutoff pseudo-inverse of a PSD matrix."""
-    w, vecs = sym_eig(a)
-    lam_max = max(float(w[0]), 0.0)
-    keep = w > PINV_CUTOFF_REL * lam_max
-    if not np.any(keep):
-        return np.zeros_like(np.asarray(a, dtype=np.float64))
-    wk = vecs[:, keep]
-    return (wk / w[keep]) @ wk.T
-
-
 # -- Cholesky helpers (internal fast paths; PSD input assumed) --------------
 
 def cholesky_spd(a, rel_tol: float = 1e-13) -> np.ndarray | None:
@@ -280,15 +268,3 @@ def logdet_spd(a) -> float:
         return -math.inf
     return 2.0 * float(np.sum(np.log(np.diag(low))))
 
-
-def min_l2_coefficients(u_rows: np.ndarray, x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-norm coefficients writing each row of x as a combination of u rows.
-
-    Returns (C, R): C[i] solves min ||c||_2 s.t. U^T c = x_i (in least-squares
-    sense), and R[i] is the representation residual x_i - U^T C[i].
-    """
-    gram_d = u_rows.T @ u_rows
-    pinv = pinv_psd(gram_d)
-    coeffs = x_rows @ pinv @ u_rows.T
-    resid = coeffs @ u_rows - x_rows
-    return coeffs, resid

@@ -46,9 +46,11 @@ class SpannerParams:
 
     def resolve_alpha(self, dim: int) -> float:
         if self.alpha is not None:
-            if self.alpha < 1.0:
-                raise ValueError("alpha must be >= 1")
+            if not 1.0 <= self.alpha < math.inf:
+                raise ValueError("alpha must be finite and >= 1")
             return float(self.alpha)
+        if not 0.0 <= self.alpha_scale < math.inf:
+            raise ValueError("alpha_scale must be finite and >= 0")
         return max(1.0, self.alpha_scale * dim * (1.0 + math.log(max(dim, 1))) ** 2)
 
     def resolve_m(self, k: int, dim: int) -> int:
@@ -113,12 +115,22 @@ def _coverage_screen(x: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
 
     By LP duality t*(v, U) = 1 / min{sum |c| : sum c_u u = v}, so any
     representation with small enough l1 norm certifies coverage without
-    touching the LP.  Sound but deliberately conservative near the threshold.
+    touching the LP.  The min-l2 representation comes from the span frame,
+    where U has full column rank r: a Cholesky solve of the r x r normal
+    equations.  Soundness rests on the residual and l1 tests of the returned
+    C alone; an ill-conditioned frame certifies nothing and leaves every row
+    to the LP.  Deliberately conservative near the threshold.
     """
     n = x.shape[0]
     if len(u) == 0:
         return np.zeros(n, dtype=bool)
-    coeffs, resid = linalg.min_l2_coefficients(u, x)
+    basis, ut = _span_frame(u)
+    try:
+        z = linalg.solve_spd(ut.T @ ut, (x @ basis.T).T)
+    except ValueError:
+        return np.zeros(n, dtype=bool)
+    coeffs = (ut @ z).T
+    resid = coeffs @ u - x
     x_norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     r_norms = np.sqrt(np.einsum("ij,ij->i", resid, resid))
     in_span = r_norms <= SPAN_RESIDUAL_REL * np.maximum(x_norms, 1e-300)
@@ -135,8 +147,8 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None,
     is covered.  Coverage is monotone in U, so verdicts are cached; a cheap
     dual-feasibility screen certifies most covered vectors without an LP.
     """
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 1")
     x, labels = _ingest(vs)
     n, d = x.shape
     covered = np.zeros(n, dtype=bool)

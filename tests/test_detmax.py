@@ -162,6 +162,12 @@ class TestNikolovRound:
         with pytest.raises(ValueError):
             nikolov_round(vs, FractionalSolution(np.ones(3), 3.0), 2, 10, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_guard(self, trials):
+        vs = VectorSet(np.eye(3))
+        with pytest.raises(ValueError, match="trials"):
+            nikolov_round(vs, FractionalSolution(np.ones(3), 3.0), 3, trials, seed=0)
+
 
 class TestEvalDesign:
     def test_identity_gram(self):

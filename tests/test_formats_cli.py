@@ -227,6 +227,43 @@ class TestCli:
         assert "planted_survival" in rep
         assert len(rep["planted_survival"]) == 10
 
+    def test_pipeline_rejects_zero_parts(self, tmp_path, capsys):
+        data = tmp_path / "v.csv"
+        write_vector_file(str(data), VectorSet(np.eye(3)))
+        code, out, err = run_cli(["pipeline", "--input", str(data),
+                                  "--parts", "0", "--k", "2"], capsys)
+        assert code == 2 and out == ""
+        assert "p must be >= 1" in err
+
+    @pytest.mark.parametrize("command", ["detmax", "pipeline"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_fw_round_rejects_nonpositive_trials(self, tmp_path, capsys,
+                                                 command, trials):
+        data = tmp_path / "t.csv"
+        write_vector_file(str(data), VectorSet(np.eye(3)))
+        flag = "--method" if command == "detmax" else "--solver"
+        code, out, err = run_cli([command, "--input", str(data), "--k", "3",
+                                  flag, "fw-round", "--trials", trials], capsys)
+        assert code == 2 and out == ""
+        assert "trials must be >= 1" in err
+
+    @pytest.mark.parametrize("command", ["spanner", "pipeline"])
+    @pytest.mark.parametrize("flag, value", [("--alpha", "nan"),
+                                             ("--alpha", "inf"),
+                                             ("--alpha-scale", "nan"),
+                                             ("--alpha-scale", "inf"),
+                                             ("--alpha-scale", "-1")])
+    def test_rejects_bad_alpha(self, tmp_path, capsys, command, flag, value):
+        data = tmp_path / "s.csv"
+        run_cli(["gen", "sphere", "--d", "3", "--n", "5", "--seed", "1",
+                 "--out", str(data)], capsys)
+        args = [command, "--input", str(data), flag, value]
+        if command == "pipeline":
+            args += ["--k", "2"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert "alpha" in err
+
     def test_console_script_smoke(self, tmp_path):
         out = tmp_path / "s.csv"
         proc = subprocess.run(

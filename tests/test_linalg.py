@@ -199,15 +199,6 @@ class TestGramSchmidt:
             assert np.allclose(proj, row, atol=1e-9)
 
 
-class TestPinvPsd:
-    def test_matches_numpy_pinv(self, rng):
-        a = random_psd(rng, 5, rank=3)
-        assert np.allclose(linalg.pinv_psd(a), np.linalg.pinv(a), atol=1e-9)
-
-    def test_zero_matrix(self):
-        assert np.array_equal(linalg.pinv_psd(np.zeros((3, 3))), np.zeros((3, 3)))
-
-
 class TestCholeskyHelpers:
     def test_det_gram_matches_numpy(self, rng):
         for _ in range(10):

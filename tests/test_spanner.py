@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specspan import linalg
+from specspan import hardgen, linalg, spanner
 from specspan.lp import DominationQuery, domination_check
 from specspan.spanner import (NotInSpan, SpannerParams, build_d_spanner,
                               build_k_spanner, certify_all,
@@ -20,6 +20,7 @@ from conftest import enumerate_lp_vertices, unit_rows
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 I3 = np.eye(3)
+SCREEN_SCALES = (1e-6, 1.0, 1e6)
 ENTRY = st.floats(-2.0, 2.0).filter(lambda t: t == 0.0 or abs(t) >= 1e-3)
 
 
@@ -77,6 +78,11 @@ class TestBuildDSpanner:
         ok, _ = verify_weak(vs, sp, 1.0)
         assert ok
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.5])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError):
+            build_d_spanner(VectorSet(np.eye(2)), alpha)
+
     def test_max_size_cap(self, rng):
         x = unit_rows(rng, 50, 6)
         sp = build_d_spanner(VectorSet(x), 1.0, max_size=3)
@@ -94,6 +100,76 @@ class TestBuildDSpanner:
             x = unit_rows(rng, 300, d)
             sp = build_d_spanner(VectorSet(x), default_alpha(d))
             assert sp.size <= 10 * d * (1.0 + math.log(d))
+
+
+@st.composite
+def screen_inputs(draw):
+    """U in R^8 (generic, a 3-dim subspace, or duplicate rows) and rows X
+    mixing combinations of U (exact and off by 1e-6 relative), copies of
+    U rows and generic vectors; every row of both carries a scale of
+    1e-6, 1 or 1e6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["generic", "subspace", "duplicates"]))
+    n_u = draw(st.integers(1, 12))
+    d = 8
+    if kind == "generic":
+        u = rng.standard_normal((n_u, d))
+    elif kind == "subspace":
+        u = rng.standard_normal((n_u, 3)) @ rng.standard_normal((3, d))
+    else:
+        u = rng.standard_normal((3, d))[rng.integers(0, 3, n_u)]
+    u *= rng.choice(SCREEN_SCALES, size=(n_u, 1))
+    alpha = draw(st.floats(1.0, 400.0))
+    n_x = draw(st.integers(1, 10))
+    combos = rng.uniform(-1.0, 1.0, (n_x, n_u)) * (2.0 * math.sqrt(alpha) / n_u)
+    exact = combos @ u
+    off = 1e-6 * np.linalg.norm(exact, axis=1, keepdims=True) * unit_rows(rng, n_x, d)
+    x = np.vstack([exact, exact + off, u[rng.integers(0, n_u, n_x)],
+                   rng.standard_normal((n_x, d))])
+    x *= rng.choice(SCREEN_SCALES, size=(4 * n_x, 1))
+    return x, u, alpha
+
+
+class TestCoverageScreen:
+    @given(screen_inputs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_marked_rows_have_small_l1_representation(self, case):
+        x, u, alpha = case
+        sv = np.linalg.svd(u, compute_uv=False)
+        kept = sv[sv > 1e-10 * sv[0]]
+        assume(kept[-1] >= 1e-4 * sv[0])  # the l2 oracle needs a sane frame
+        marked = spanner._coverage_screen(x, u, alpha)
+        pinv_ut = np.linalg.pinv(u.T, rtol=1e-10)
+        for i in np.flatnonzero(marked):
+            c = pinv_ut @ x[i]
+            assert np.linalg.norm(u.T @ c - x[i]) <= 1e-8 * np.linalg.norm(x[i])
+            assert np.sum(np.abs(c)) <= math.sqrt(alpha)
+
+    def test_marks_inside_and_not_at_threshold(self):
+        # min-l2 coefficients of (e1+e2)/2 over I3 have l1 norm 1; of e1+e2, 2
+        x = np.array([[0.5, 0.5, 0.0], [1.0, 1.0, 0.0]])
+        assert spanner._coverage_screen(x, I3, 4.0).tolist() == [True, False]
+
+    def test_out_of_span_never_marked(self):
+        x = np.array([[1.0, 0.0, 1e-6]])
+        assert not spanner._coverage_screen(x, I3[:2], 1e6)[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_screen_only_saves_lps(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        hard = hardgen.gen_hard_instance(8, 1.0, 1e6, seed, n_override=48)
+        # the per-part builds of the lower-bound experiment, uncapped
+        inputs = [VectorSet(unit_rows(rng, 150, 8)), *hard.x_sets]
+        alpha = default_alpha(8)
+        for vs in inputs:
+            with_screen = build_d_spanner(vs, alpha)
+            monkeypatch.setattr(spanner, "_coverage_screen",
+                                lambda x, u, alpha: np.zeros(len(x), dtype=bool))
+            without = build_d_spanner(vs, alpha)
+            monkeypatch.undo()
+            assert with_screen.indices == without.indices
+            assert all(np.array_equal(p, q) for p, q in
+                       zip(with_screen.witnesses, without.witnesses))
 
 
 class TestVerifyWeak:
@@ -211,6 +287,21 @@ class TestStrongCertificate:
         mix = sum(p * np.outer(x[lbl], x[lbl]) for lbl, p in cert.support)
         v = x[7]
         assert linalg.preceq_k(cert.delta * np.outer(v, v), mix, 3, 1e-7)
+
+
+class TestSpannerParams:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.5])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError):
+            SpannerParams(alpha=alpha).resolve_alpha(4)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_alpha_scale(self, scale):
+        with pytest.raises(ValueError):
+            SpannerParams(alpha_scale=scale).resolve_alpha(4)
+
+    def test_zero_alpha_scale_floors_at_one(self):
+        assert SpannerParams(alpha_scale=0.0).resolve_alpha(4) == 1.0
 
 
 class TestVolumeGreedy:
