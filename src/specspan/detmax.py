@@ -4,6 +4,9 @@ Exact enumeration, volume-greedy seeding with single-swap local search, a
 log-det Frank-Wolfe relaxation for the full-rank case, randomized rounding of
 fractional solutions, and the D/E/A design objectives with their shared
 1/t scaling law.
+
+Enumeration, rounding trials and swap candidates are all scored the same way:
+CHUNK index sets at a time, by one stacked Cholesky of their Gram matrices.
 """
 
 from __future__ import annotations
@@ -11,16 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from . import linalg
-from .rng import generator
+from .rng import generators
 from .spanner import volume_greedy
 from .vectorset import as_vector_set
 
 BRUTE_GUARD = 10**7
+CHUNK = 4096                  # subsets scored per stacked Cholesky
 SWAP_IMPROVE = 1e-9           # accept a swap only above this relative gain
 FW_DETMAX_ITERS = 1000
 FW_DETMAX_REL = 1e-9
@@ -81,37 +85,19 @@ def subset_value(x: np.ndarray, indices) -> float:
     return linalg.det_gram(gram_of(x, indices))
 
 
-def _det3_stack(g: np.ndarray) -> np.ndarray:
-    a, b, c = g[:, 0, 0], g[:, 0, 1], g[:, 0, 2]
-    d, e, f = g[:, 1, 0], g[:, 1, 1], g[:, 1, 2]
-    h, i, j = g[:, 2, 0], g[:, 2, 1], g[:, 2, 2]
-    return a * (e * j - f * i) - b * (d * j - f * h) + c * (d * i - e * h)
-
-
-def _det_stack(g: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of small (k <= 4) matrices, vectorized."""
-    k = g.shape[1]
-    if k == 1:
-        return g[:, 0, 0]
-    if k == 2:
-        return g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-    if k == 3:
-        return _det3_stack(g)
-    if k == 4:
-        out = np.zeros(g.shape[0])
-        sign = 1.0
-        for j in range(4):
-            cols = [c for c in range(4) if c != j]
-            minor = g[:, 1:, :][:, :, cols]
-            out += sign * g[:, 0, j] * _det3_stack(minor)
-            sign = -sign
-        return out
-    raise ValueError("stacked determinant only for k <= 4")
+def _set_values(x: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """det of the Gram of each row-index set of `sets` (b, k): one stacked Cholesky."""
+    xs = x[sets]
+    return linalg.det_gram(xs @ xs.transpose(0, 2, 1))
 
 
 def brute_force_detmax(vs, k: int) -> Solution:
     """Exact optimum over all k-subsets; ties go to the lexicographically
-    smallest index set (combinations are generated in lex order)."""
+    smallest index set (combinations come in lex order, the first maximum wins).
+
+    Subsets are scored CHUNK at a time, so memory is one chunk of index sets
+    and Gram matrices whatever C(n, k) is.
+    """
     v = as_vector_set(vs)
     n = v.vectors.shape[0]
     if not 1 <= k <= n:
@@ -119,27 +105,31 @@ def brute_force_detmax(vs, k: int) -> Solution:
     total = math.comb(n, k)
     if total > BRUTE_GUARD:
         raise TooLarge(f"C({n},{k}) = {total} exceeds guard {BRUTE_GUARD}")
-    gram = v.vectors @ v.vectors.T
-    combos = np.fromiter(
-        (i for combo in combinations(range(n), k) for i in combo),
-        dtype=np.int64, count=total * k,
-    ).reshape(total, k)
-    if k <= 4:
-        sub = gram[combos[:, :, None], combos[:, None, :]]
-        values = _det_stack(sub)
-        best = int(np.argmax(values))
-        best_idx = combos[best]
-        best_val = subset_value(v.vectors, best_idx)
-    else:
-        best_val = -math.inf
-        best_idx = combos[0]
-        for row in combos:
-            val = linalg.det_gram(gram[np.ix_(row, row)])
-            if val > best_val:
-                best_val = val
-                best_idx = row
+    combos = combinations(range(n), k)
+    best_val, best_idx = -math.inf, ()
+    while chunk := list(islice(combos, CHUNK)):
+        sets = np.array(chunk)
+        values = _set_values(v.vectors, sets)
+        i = int(np.argmax(values))
+        if values[i] > best_val:
+            best_val, best_idx = float(values[i]), sets[i]
     labels = tuple(int(v.labels[i]) for i in best_idx)
     return Solution(labels, max(best_val, 0.0))
+
+
+def _first_swap(x: np.ndarray, current: list[int], slot: int, cands: np.ndarray,
+                bar: float) -> tuple[int, float | None]:
+    """First position in `cands` whose swap into `slot` lifts the value above
+    `bar`, with that value; (len(cands), None) when none does."""
+    for start in range(0, len(cands), CHUNK):
+        part = cands[start:start + CHUNK]
+        sets = np.tile(current, (len(part), 1))
+        sets[:, slot] = part
+        values = _set_values(x, sets)
+        hit = np.flatnonzero(values > bar)
+        if hit.size:
+            return start + int(hit[0]), float(values[hit[0]])
+    return len(cands), None
 
 
 def greedy_local_search(vs, k: int, max_rounds: int = 50) -> Solution:
@@ -147,6 +137,8 @@ def greedy_local_search(vs, k: int, max_rounds: int = 50) -> Solution:
 
     A swap is accepted only when the value improves by a factor >= 1 + 1e-9;
     terminates at a local optimum or after max_rounds * n * k evaluations.
+    Swap-ins for a slot are scored CHUNK at a time in index order; the first
+    improving one wins, as in a one-by-one scan.
     """
     v = as_vector_set(vs)
     x = v.vectors
@@ -167,22 +159,15 @@ def greedy_local_search(vs, k: int, max_rounds: int = 50) -> Solution:
     improved = True
     while improved and evals < budget:
         improved = False
-        in_set = set(current)
+        taken = set(current)
+        cands = np.fromiter((j for j in range(n) if j not in taken), dtype=np.int64)
         for slot in range(k):
-            for j in range(n):
-                if j in in_set:
-                    continue
-                trial = current.copy()
-                trial[slot] = j
-                evals += 1
-                val = subset_value(x, trial)
-                if val > value * (1.0 + SWAP_IMPROVE) + 1e-300:
-                    current = trial
-                    value = val
-                    improved = True
-                    break
-                if evals >= budget:
-                    break
+            allowed = cands[:budget - evals]
+            pos, val = _first_swap(x, current, slot, allowed,
+                                   value * (1.0 + SWAP_IMPROVE) + 1e-300)
+            evals += min(pos + 1, len(allowed))
+            if val is not None:
+                current[slot], value, improved = int(allowed[pos]), val, True
             if improved or evals >= budget:
                 break
     order = sorted(current)
@@ -214,10 +199,11 @@ def fractional_detmax(vs, k: int | None = None,
         s[label_pos[lbl]] += d / k  # = 1 for k = d
     eps = EPS_RIDGE_REL * float(np.max(np.einsum("ij,ij->i", x, x)))
     a = (x.T * s) @ x + eps * np.eye(d)
-    logdet = linalg.logdet_spd(a)
+    low = linalg.cholesky_spd(a)  # one factor per iterate: its log-det, then its inverse
+    logdet = linalg.logdet_spd(a, low)
     best_s, best_logdet = s.copy(), logdet
     for t in range(1, iters + 1):
-        ainv = linalg.inv_spd(a)
+        ainv = linalg.inv_spd(a, low)
         scores = np.einsum("ij,ij->i", x @ ainv, x)
         q = int(np.argmax(scores))
         gamma = 2.0 / (t + 2.0)
@@ -225,7 +211,8 @@ def fractional_detmax(vs, k: int | None = None,
         s[q] += gamma * d
         a = (1.0 - gamma) * a + (gamma * d) * np.outer(x[q], x[q]) \
             + (gamma * eps) * np.eye(d)
-        new_logdet = linalg.logdet_spd(a)
+        low = linalg.cholesky_spd(a)
+        new_logdet = linalg.logdet_spd(a, low)
         if new_logdet > best_logdet:
             best_logdet = new_logdet
             best_s = s.copy()
@@ -247,7 +234,9 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
     """k i.i.d. draws with probability s_v/k per trial; best trial wins.
 
     Each trial has its own derived Philox stream so trials are independent and
-    order-insensitive; the mean uses numpy's pairwise summation.
+    order-insensitive; the mean uses numpy's pairwise summation.  Trials are
+    drawn and scored CHUNK at a time, so beyond the per-trial values memory
+    is one chunk whatever `trials` is.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
@@ -259,18 +248,16 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
         raise ValueError(f"weights must sum to k = {k} (got {total})")
     cum = np.cumsum(s / total)
     cum[-1] = 1.0
-    gram = x @ x.T
     values = np.empty(trials)
     best_val = -math.inf
     best_draw: np.ndarray | None = None
-    for t in range(trials):
-        gen = generator(seed, "trial", t)
-        draws = np.searchsorted(cum, gen.random(k), side="right")
-        val = linalg.det_gram(gram[np.ix_(draws, draws)])
-        values[t] = val
-        if val > best_val:
-            best_val = val
-            best_draw = draws
+    for start in range(0, trials, CHUNK):
+        gens = generators(seed, "trial", range(start, min(start + CHUNK, trials)))
+        draws = np.searchsorted(cum, np.array([gen.random(k) for gen in gens]), side="right")
+        chunk = values[start:start + len(draws)] = _set_values(x, draws)
+        i = int(np.argmax(chunk))
+        if chunk[i] > best_val:
+            best_val, best_draw = float(chunk[i]), draws[i]
     assert best_draw is not None
     labels = tuple(sorted(int(v.labels[i]) for i in best_draw))
     mean = float(np.sum(values) / trials)

@@ -2,9 +2,10 @@
 
 Jacobi symmetric eigendecomposition, Gram-Schmidt, orthogonal projection,
 the elementary-symmetric determinant det_k, the eigenvalue-tail order check
-between symmetric matrices, and Cholesky solves for positive-definite
-systems.  Factorization algorithms are implemented here directly on float64
-arrays; numpy supplies array arithmetic only.
+between symmetric matrices, and a Cholesky factor (of one matrix, or of a
+whole stack one column step at a time) with solves and Gram determinants for
+positive-definite systems.  Factorization algorithms are implemented here
+directly on float64 arrays; numpy supplies array arithmetic only.
 
 Tolerances are module-level constants; override by assignment before use.
 """
@@ -202,22 +203,31 @@ def gram_schmidt(vs) -> np.ndarray:
 # -- Cholesky helpers (internal fast paths; PSD input assumed) --------------
 
 def cholesky_spd(a, rel_tol: float = 1e-13) -> np.ndarray | None:
-    """Lower Cholesky factor of a positive-definite matrix, or None.
+    """Lower Cholesky factor of a positive-definite matrix, or of each matrix
+    of a stack (b, k, k), one column step at a time across the stack.
 
-    Returns None as soon as a pivot falls below rel_tol * max diagonal, which
-    doubles as a singular/indefinite detector for Gram matrices.
+    A matrix fails when a pivot falls at or below rel_tol * its max diagonal,
+    which doubles as a singular/indefinite detector for Gram matrices: a lone
+    matrix then gives None, a member of a stack an all-zero factor.  A lone
+    matrix runs the same steps and gets the bits it would get in any stack.
     """
     m = np.asarray(a, dtype=np.float64)
-    d = m.shape[0]
+    d = m.shape[-1]
     low = np.zeros_like(m)
-    floor = rel_tol * max(float(np.max(np.diag(m))), 0.0)
-    for j in range(d):
-        s = m[j, j] - float(np.dot(low[j, :j], low[j, :j]))
-        if s <= floor:
-            return None
-        low[j, j] = math.sqrt(s)
-        if j + 1 < d:
-            low[j + 1:, j] = (m[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    pivots = np.empty(m.shape[:-1])
+    with np.errstate(invalid="ignore", divide="ignore"):  # failed rows are discarded
+        for j in range(d):
+            row = low[..., j:j + 1, :j]
+            row_t = row.swapaxes(-1, -2)
+            s = pivots[..., j] = m[..., j, j] - (row @ row_t)[..., 0, 0]
+            piv = low[..., j, j] = np.sqrt(s)
+            low[..., j + 1:, j] = ((m[..., j + 1:, j] - (low[..., j + 1:, :j] @ row_t)[..., 0])
+                                   / piv[..., None])
+    diag_max = np.diagonal(m, axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
+    ok = np.all(pivots > rel_tol * diag_max[..., None], axis=-1)
+    if m.ndim == 2:
+        return low if ok else None
+    low[~ok] = 0.0
     return low
 
 
@@ -232,9 +242,10 @@ def solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def solve_spd(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A."""
-    low = cholesky_spd(a)
+def solve_spd(a, b, low: np.ndarray | None = None) -> np.ndarray:
+    """Solve A x = b for symmetric positive definite A with Cholesky factor `low`."""
+    if low is None:
+        low = cholesky_spd(a)
     if low is None:
         raise ValueError("matrix is not positive definite")
     y = solve_lower(low, b)
@@ -247,24 +258,24 @@ def solve_spd(a, b) -> np.ndarray:
     return x
 
 
-def inv_spd(a) -> np.ndarray:
-    return solve_spd(a, np.eye(np.asarray(a).shape[0]))
+def inv_spd(a, low: np.ndarray | None = None) -> np.ndarray:
+    return solve_spd(a, np.eye(np.asarray(a).shape[0]), low)
 
 
-def det_gram(g) -> float:
-    """Determinant of a PSD Gram matrix; 0.0 when numerically singular."""
+def det_gram(g) -> float | np.ndarray:
+    """Determinant of a PSD Gram matrix, or of each matrix in a stack of shape
+    (b, k, k); 0.0 where numerically singular."""
     m = np.asarray(g, dtype=np.float64)
-    if m.shape[0] == 0:
-        return 1.0
-    low = cholesky_spd(m)
+    low = cholesky_spd(m if m.ndim == 3 else m[None])
+    # float_power is libm pow, as Python's float ** 2 is; squaring can differ by an ulp
+    dets = np.float_power(np.prod(np.diagonal(low, axis1=1, axis2=2), axis=1), 2.0)
+    return dets if m.ndim == 3 else float(dets[0])
+
+
+def logdet_spd(a, low: np.ndarray | None = None) -> float:
+    """log det A (-inf when A's Cholesky factor `low` fails)."""
     if low is None:
-        return 0.0
-    return float(np.prod(np.diag(low)) ** 2)
-
-
-def logdet_spd(a) -> float:
-    low = cholesky_spd(a)
+        low = cholesky_spd(a)
     if low is None:
         return -math.inf
     return 2.0 * float(np.sum(np.log(np.diag(low))))
-

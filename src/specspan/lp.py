@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .vectorset import as_matrix
 
 PIVOT_EPS = 1e-11
@@ -311,7 +312,18 @@ def domination_check(query: DominationQuery) -> DominationResult:
     a_ub[nu:, :d] = -us
     a_ub[:, d] = -1.0
     b_ub = np.zeros(2 * nu)
-    x_ext, _ = solve_lp(c, a_eq, b_eq, a_ub, b_ub)
+    try:
+        x_ext, _ = solve_lp(c, a_eq, b_eq, a_ub, b_ub)
+    except (Infeasible, Unbounded):
+        # A numerical failure: the LP is bounded (t >= 0) and feasible (v != 0).
+        # Out of span(U), v's residual r against U's frame gives the feasible
+        # point x = r/<r,v>; its margin is measured, not assumed.
+        r = linalg.project_orth(v, linalg.gram_schmidt(us))
+        rv = float(np.dot(r, v))
+        margin = float(np.max(np.abs(us @ r))) / rv if rv > 0.0 else math.inf
+        if not margin < cover_threshold(alpha):
+            raise
+        return DominationResult("witness", margin, r / rv)
     x = x_ext[:d]
     inner = float(np.dot(x, v))
     if inner <= 0.0:  # cannot happen for a correct solve; guard division

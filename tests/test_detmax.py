@@ -1,16 +1,18 @@
 """Determinant maximization solvers and design objectives."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from specspan import linalg
+from specspan import detmax, linalg, rng as rng_mod
 from specspan.detmax import (Degenerate, DesignObjective, FractionalSolution,
                              TooLarge, brute_force_detmax, eval_design,
                              fractional_design, fractional_detmax,
                              fractional_objective, greedy_local_search,
                              nikolov_round)
+from specspan.spanner import volume_greedy
 from specspan.vectorset import VectorSet
 
 TOY = VectorSet(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
@@ -54,6 +56,32 @@ class TestBruteForce:
         sol = brute_force_detmax(vs, 2)
         assert sol.indices == (0, 1)
 
+    @pytest.mark.parametrize("k", [5, 6])
+    @pytest.mark.parametrize("chunk", [7, detmax.CHUNK])
+    def test_matches_enumeration_across_chunks(self, monkeypatch, k, chunk):
+        monkeypatch.setattr(detmax, "CHUNK", chunk)
+        x = np.random.default_rng(40 + k).standard_normal((9, 6))
+        best_val, best_set = -math.inf, None
+        for s in combinations(range(9), k):  # strict '>' keeps the first maximum
+            rows = x[list(s)]
+            val = float(np.linalg.det(rows @ rows.T))
+            if val > best_val:
+                best_val, best_set = val, s
+        sol = brute_force_detmax(VectorSet(x), k)
+        assert sol.indices == best_set
+        assert sol.value == pytest.approx(best_val, rel=1e-9)
+
+    def test_tie_across_chunk_boundary_keeps_first(self, monkeypatch):
+        # rows 10 and 11 are equal, so {0,1,2,3,10} (lex position 6) and
+        # {0,1,2,3,11} (position 7) tie for the maximum; chunks of 7 split them
+        monkeypatch.setattr(detmax, "CHUNK", 7)
+        x = 0.1 * np.random.default_rng(3).standard_normal((12, 5))
+        x[:4] = 10.0 * np.eye(5)[:4]
+        x[10] = x[11] = 10.0 * np.eye(5)[4]
+        sol = brute_force_detmax(VectorSet(x), 5)
+        assert sol.indices == (0, 1, 2, 3, 10)
+        assert sol.value == pytest.approx(1e10, rel=1e-12)
+
     def test_value_recomputable(self, rng):
         x = rng.standard_normal((8, 3))
         sol = brute_force_detmax(VectorSet(x), 3)
@@ -84,6 +112,78 @@ class TestGreedyLocalSearch:
         sol = greedy_local_search(VectorSet(x), 3)
         assert len(sol.indices) == 3
         assert sol.value == pytest.approx(0.0, abs=1e-12)
+
+
+def scalar_local_search(x: np.ndarray, k: int, max_rounds: int = 50, budget=None):
+    """One-swap-at-a-time first-improvement search from the volume-greedy
+    seed, each candidate scored with numpy.linalg.det; (sorted set, cut)."""
+    n = len(x)
+    current = list(volume_greedy(VectorSet(x), k).indices)
+
+    def value_of(s):
+        rows = x[s]
+        return float(np.linalg.det(rows @ rows.T))
+
+    value = value_of(current)
+    budget = max_rounds * n * k if budget is None else budget
+    evals = 0
+    improved = True
+    while improved and evals < budget:
+        improved = False
+        in_set = set(current)
+        for slot in range(k):
+            for j in range(n):
+                if j in in_set:
+                    continue
+                trial = current.copy()
+                trial[slot] = j
+                evals += 1
+                val = value_of(trial)
+                if val > value * (1.0 + 1e-9) + 1e-300:
+                    current, value, improved = trial, val, True
+                    break
+                if evals >= budget:
+                    break
+            if improved or evals >= budget:
+                break
+    return tuple(sorted(current)), evals >= budget
+
+
+class TestLocalSearchAgainstScalarScan:
+    @pytest.mark.parametrize("chunk", [3, detmax.CHUNK])
+    @pytest.mark.parametrize("seed,n,d,k", [(0, 9, 4, 3), (1, 9, 4, 4), (2, 14, 6, 5),
+                                            (3, 30, 8, 6)])
+    def test_same_local_optimum(self, monkeypatch, chunk, seed, n, d, k):
+        monkeypatch.setattr(detmax, "CHUNK", chunk)
+        x = np.random.default_rng(seed).standard_normal((n, d))
+        ref, cut = scalar_local_search(x, k)
+        assert not cut
+        sol = greedy_local_search(VectorSet(x), k)
+        assert sol.indices == ref
+        rows = x[list(ref)]
+        assert sol.value == pytest.approx(float(np.linalg.det(rows @ rows.T)), rel=1e-9)
+
+    @pytest.mark.parametrize("chunk", [3, detmax.CHUNK])
+    @pytest.mark.parametrize("seed,n,d,k", [(15, 20, 6, 5), (48, 12, 5, 4),
+                                            (124, 16, 4, 3)])
+    def test_budget_cut_after_one_round(self, monkeypatch, chunk, seed, n, d, k):
+        # max_rounds=1 allows n*k evaluations; on these inputs the scan runs
+        # out of them before it reaches the local optimum
+        monkeypatch.setattr(detmax, "CHUNK", chunk)
+        x = np.random.default_rng(seed).standard_normal((n, d))
+        ref, cut = scalar_local_search(x, k, max_rounds=1)
+        assert cut and ref != scalar_local_search(x, k)[0]
+        assert greedy_local_search(VectorSet(x), k, max_rounds=1).indices == ref
+
+    @pytest.mark.parametrize("chunk", [3, detmax.CHUNK])
+    def test_last_evaluation_inside_budget_counts(self, monkeypatch, chunk):
+        # here the (n*k)-th evaluation is an improving swap: one fewer
+        # evaluation would end elsewhere
+        monkeypatch.setattr(detmax, "CHUNK", chunk)
+        x = np.random.default_rng(41).standard_normal((10, 4))
+        ref = scalar_local_search(x, 3, budget=30)[0]
+        assert scalar_local_search(x, 3, budget=29)[0] != ref
+        assert greedy_local_search(VectorSet(x), 3, max_rounds=1).indices == ref
 
 
 class TestFractionalDetmax:
@@ -161,6 +261,52 @@ class TestNikolovRound:
         vs = VectorSet(np.eye(3))
         with pytest.raises(ValueError):
             nikolov_round(vs, FractionalSolution(np.ones(3), 3.0), 2, 10, seed=0)
+
+    @pytest.mark.parametrize("chunk", [7, detmax.CHUNK])
+    def test_matches_per_trial_loop(self, monkeypatch, chunk):
+        monkeypatch.setattr(detmax, "CHUNK", chunk)
+        x = np.random.default_rng(21).standard_normal((8, 3))
+        weights = np.random.default_rng(22).uniform(0.1, 1.0, size=8)
+        frac = FractionalSolution(3.0 * weights / weights.sum(), 3.0)
+        cum = np.cumsum(frac.weights / frac.weights.sum())
+        cum[-1] = 1.0
+        values, best_val, best_draw = [], -math.inf, None
+        for t in range(500):
+            draws = np.searchsorted(cum, rng_mod.generator(6, "trial", t).random(3),
+                                    side="right")
+            rows = x[draws]
+            val = max(float(np.linalg.det(rows @ rows.T)), 0.0)
+            values.append(val)
+            if val > best_val:
+                best_val, best_draw = val, draws
+        res = nikolov_round(VectorSet(x), frac, 3, 500, seed=6)
+        assert res.best.indices == tuple(sorted(int(i) for i in best_draw))
+        assert res.best.value == pytest.approx(best_val, rel=1e-9)
+        assert res.mean == pytest.approx(float(np.mean(values)), rel=1e-12)
+        assert res.std == pytest.approx(float(np.std(values, ddof=1)), rel=1e-9)
+
+    def test_tie_keeps_the_first_trial(self, monkeypatch):
+        # rows 0 and 2 have the same norm: with k=1 both score 9 exactly, and
+        # the first trial to draw either must win, across chunks of 7 too
+        monkeypatch.setattr(detmax, "CHUNK", 7)
+        x = np.array([[3.0, 0.0], [1.0, 1.0], [0.0, 3.0], [2.0, 2.0]])
+        frac = FractionalSolution(np.full(4, 0.25), 1.0)
+        cum = np.cumsum(frac.weights)
+        firsts = [int(np.searchsorted(cum, rng_mod.generator(8, "trial", t).random(1),
+                                      side="right")[0]) for t in range(40)]
+        first_max = next(i for i in firsts if i in (0, 2))
+        last_chunk = firsts[(len(firsts) - 1) // 7 * 7:]
+        assert 2 - first_max in last_chunk  # a later chunk holds the other one
+        res = nikolov_round(VectorSet(x), frac, 1, 40, seed=8)
+        assert res.best.indices == (first_max,)
+        assert res.best.value == pytest.approx(9.0)
+
+    def test_generators_fold_the_tag_once(self):
+        for tag in ("trial", 17):
+            gens = rng_mod.generators(99, tag, [0, 5, 2**40])
+            for t, gen in zip([0, 5, 2**40], gens):
+                ref = rng_mod.generator(99, tag, t)
+                assert np.array_equal(gen.random(4), ref.random(4))
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_guard(self, trials):

@@ -131,6 +131,17 @@ class TestCli:
         assert report["config"]["size"] == summary["size"]
         assert len(idx.read_text().split()) == summary["size"]
 
+    def test_spanner_on_whole_hard_instance(self, tmp_path, capsys):
+        # one domination LP of this build used to raise Unbounded (exit 1)
+        data = tmp_path / "h.csv"
+        code, _, _ = run_cli(["gen", "hard", "--d", "8", "--beta", "1",
+                              "--n-override", "24", "--seed", "0",
+                              "--out", str(data)], capsys)
+        assert code == 0
+        code, out, _ = run_cli(["spanner", "--input", str(data)], capsys)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+
     def test_spanner_rejects_alpha_below_one(self, tmp_path, capsys):
         data = tmp_path / "s.csv"
         run_cli(["gen", "sphere", "--d", "3", "--n", "5", "--seed", "1",

@@ -218,3 +218,72 @@ class TestCholeskyHelpers:
     def test_inv_spd(self, rng):
         a = random_psd(rng, 4) + np.eye(4)
         assert np.allclose(linalg.inv_spd(a) @ a, np.eye(4), atol=1e-9)
+
+    def test_precomputed_factor_gives_same_bits(self, rng):
+        a = random_psd(rng, 5) + np.eye(5)
+        low = linalg.cholesky_spd(a)
+        b = rng.standard_normal((5, 3))
+        assert np.array_equal(linalg.solve_spd(a, b, low), linalg.solve_spd(a, b))
+        assert np.array_equal(linalg.inv_spd(a, low), linalg.inv_spd(a))
+        assert linalg.logdet_spd(a, low) == linalg.logdet_spd(a)
+
+
+def gram_stack(rng, b: int, k: int, d: int, scale: float = 1.0) -> np.ndarray:
+    rows = rng.standard_normal((b, k, d)) * scale
+    return rows @ rows.transpose(0, 2, 1)
+
+
+class TestStackedCholesky:
+    @pytest.mark.parametrize("k", [1, 2, 5, 12, 16])
+    def test_det_matches_numpy(self, rng, k):
+        g = gram_stack(rng, 50, k, k + 3, scale=float(rng.uniform(0.1, 10.0)))
+        dets = linalg.det_gram(g)
+        assert dets.shape == (50,)
+        assert np.allclose(dets, np.linalg.det(g), rtol=1e-9, atol=0.0)
+
+    def test_factor_reconstructs(self, rng):
+        g = gram_stack(rng, 20, 6, 9)
+        low = linalg.cholesky_spd(g)
+        assert np.array_equal(low, np.tril(low))
+        assert np.allclose(low @ low.transpose(0, 2, 1), g, rtol=1e-12, atol=1e-12)
+
+    def test_singular_members_are_zero_and_isolated(self, rng):
+        g = gram_stack(rng, 9, 5, 8)
+        g[[1, 4, 8]] = gram_stack(rng, 3, 5, 3)  # rank 3 < 5
+        g[6] = 0.0
+        low = linalg.cholesky_spd(g)
+        dets = linalg.det_gram(g)
+        for i in (1, 4, 6, 8):
+            assert dets[i] == 0.0
+            assert not np.any(low[i])
+        for i in (0, 2, 3, 5, 7):
+            assert dets[i] == pytest.approx(float(np.linalg.det(g[i])), rel=1e-9)
+
+    def test_repeated_rows_score_zero(self, rng):
+        # rounding draws may pick one vector twice: such a Gram is singular
+        x = rng.standard_normal((6, 4))
+        sets = np.array([[0, 1, 2], [3, 3, 1], [5, 2, 5], [4, 0, 1], [2, 2, 2]])
+        xs = x[sets]
+        dets = linalg.det_gram(xs @ xs.transpose(0, 2, 1))
+        assert dets[1] == dets[2] == dets[4] == 0.0
+        for i in (0, 3):
+            rows = x[sets[i]]
+            assert dets[i] == pytest.approx(float(np.linalg.det(rows @ rows.T)), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 12, 16])
+    def test_member_bits_equal_batch_of_one(self, rng, k):
+        g = gram_stack(rng, 300, k, k + 1, scale=float(rng.uniform(0.1, 10.0)))
+        g[::7] = gram_stack(rng, len(g[::7]), k, max(k - 1, 1))  # some singular
+        low = linalg.cholesky_spd(g)
+        dets = linalg.det_gram(g)
+        for i in range(len(g)):
+            one = linalg.cholesky_spd(g[i])
+            if one is None:
+                assert not np.any(low[i])
+            else:
+                assert np.array_equal(one, low[i])
+            assert linalg.det_gram(g[i]) == dets[i]
+
+    def test_empty_matrices(self):
+        assert linalg.det_gram(np.zeros((0, 0))) == 1.0
+        assert np.array_equal(linalg.det_gram(np.zeros((3, 0, 0))), np.ones(3))

@@ -6,11 +6,13 @@ import zlib
 import numpy as np
 import pytest
 
+from specspan import lp
 from specspan.coreset import PartitionScheme, Solver, partition, run_pipeline
 from specspan.lp import (DominationQuery, Infeasible, Unbounded, ZeroVector,
                          cover_threshold, domination_check, l1_representation,
                          solve_lp)
-from specspan.spanner import build_k_spanner, check_witness_dominance
+from specspan.hardgen import gen_hard_instance
+from specspan.spanner import build_d_spanner, build_k_spanner, check_witness_dominance
 from specspan.vectorset import VectorSet
 from conftest import enumerate_lp_vertices
 
@@ -126,6 +128,27 @@ class TestDominationCheck:
                 u_only = domination_check(DominationQuery(v, c * us, alpha))
                 assert u_only.margin == pytest.approx(c * base.margin, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("error", [Unbounded, Infeasible])
+    def test_failed_solve_out_of_span_gives_residual_witness(self, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("numerical failure")
+        monkeypatch.setattr(lp, "solve_lp", broken)
+        us = np.array([[1e6, 0.0, 0.0], [3e5, 2e5, 0.0]])
+        v = np.array([0.3, -0.2, 1e-3])
+        res = domination_check(DominationQuery(v, us, 4.0))
+        assert not res.covered
+        assert float(res.witness @ v) == pytest.approx(1.0, rel=1e-12)
+        assert res.margin == pytest.approx(float(np.max(np.abs(us @ res.witness))), rel=1e-12)
+        assert res.margin < 1e-6  # exact answer t* = 0: v leaves span(U)
+
+    def test_failed_solve_in_span_reraises(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise Unbounded("numerical failure")
+        monkeypatch.setattr(lp, "solve_lp", broken)
+        us = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(Unbounded):
+            domination_check(DominationQuery(np.array([0.5, 2.0, 0.0]), us, 4.0))
+
     def test_cover_threshold_slack(self):
         assert cover_threshold(4.0) == pytest.approx(0.5, rel=1e-8)
         assert cover_threshold(4.0) < 0.5
@@ -181,3 +204,22 @@ class TestNumericalRegressions:
         labels = rep.config["union_labels"]
         assert len(set(labels)) == len(labels) == rep.union_size == sum(rep.coreset_sizes)
         assert rep.guarantee <= rep.ratio <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("seed,n", [(0, 24), (0, 48), (1, 24), (2, 24), (2, 48),
+                                        (3, 48), (4, 24), (4, 48), (5, 24), (5, 48)])
+    def test_whole_hard_instance_builds(self, seed, n):
+        # The domination LP of one query of each build once raised Unbounded:
+        # U at norm 1e6, |v| = 1 and v outside span(U), where t* = 0.
+        union = gen_hard_instance(8, 1.0, 1e6, seed, n_override=n).parts.union
+        alpha = 8 * (1 + math.log(8)) ** 2
+        sp = build_d_spanner(union, alpha)
+        u = sp.vectors
+        assert np.linalg.matrix_rank(u) == 8 == len(u)
+        # U is a basis, so each input's only representation c solves U^T c = x,
+        # and x is covered exactly when ||c||_1 = 1/t* <= sqrt(alpha)
+        coeffs = np.linalg.solve(u.T, union.vectors.T)
+        assert np.all(np.sum(np.abs(coeffs), axis=0) <= math.sqrt(alpha) * (1 + 1e-6))
+        # each pick's witness dominates it over the earlier picks
+        for i, w in enumerate(sp.dspanner_witnesses):
+            diag = abs(float(u[i] @ w))
+            assert np.all(np.abs(u[:i] @ w) <= diag / math.sqrt(alpha) * (1 + 1e-9))
