@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from . import linalg
-from .rng import generators
+from .rng import generator
 from .spanner import volume_greedy
 from .vectorset import as_vector_set
 
@@ -95,8 +95,9 @@ def brute_force_detmax(vs, k: int) -> Solution:
     """Exact optimum over all k-subsets; ties go to the lexicographically
     smallest index set (combinations come in lex order, the first maximum wins).
 
-    Subsets are scored CHUNK at a time, so memory is one chunk of index sets
-    and Gram matrices whatever C(n, k) is.
+    Subsets are scored CHUNK at a time from the n x n Gram matrix, so memory
+    beyond that Gram is one chunk of index sets and Gram matrices whatever
+    C(n, k) is.
     """
     v = as_vector_set(vs)
     n = v.vectors.shape[0]
@@ -105,11 +106,12 @@ def brute_force_detmax(vs, k: int) -> Solution:
     total = math.comb(n, k)
     if total > BRUTE_GUARD:
         raise TooLarge(f"C({n},{k}) = {total} exceeds guard {BRUTE_GUARD}")
-    combos = combinations(range(n), k)
+    gram = v.vectors @ v.vectors.T
+    combos = chain.from_iterable(combinations(range(n), k))
     best_val, best_idx = -math.inf, ()
-    while chunk := list(islice(combos, CHUNK)):
-        sets = np.array(chunk)
-        values = _set_values(v.vectors, sets)
+    while (sets := np.fromiter(islice(combos, CHUNK * k), dtype=np.int64)).size:
+        sets = sets.reshape(-1, k)
+        values = linalg.det_gram(gram[sets[:, :, None], sets[:, None, :]])
         i = int(np.argmax(values))
         if values[i] > best_val:
             best_val, best_idx = float(values[i]), sets[i]
@@ -200,7 +202,7 @@ def fractional_detmax(vs, k: int | None = None,
     eps = EPS_RIDGE_REL * float(np.max(np.einsum("ij,ij->i", x, x)))
     a = (x.T * s) @ x + eps * np.eye(d)
     low = linalg.cholesky_spd(a)  # one factor per iterate: its log-det, then its inverse
-    logdet = linalg.logdet_spd(a, low)
+    logdet = linalg.logdet_spd(low)
     best_s, best_logdet = s.copy(), logdet
     for t in range(1, iters + 1):
         ainv = linalg.inv_spd(a, low)
@@ -212,7 +214,7 @@ def fractional_detmax(vs, k: int | None = None,
         a = (1.0 - gamma) * a + (gamma * d) * np.outer(x[q], x[q]) \
             + (gamma * eps) * np.eye(d)
         low = linalg.cholesky_spd(a)
-        new_logdet = linalg.logdet_spd(a, low)
+        new_logdet = linalg.logdet_spd(low)
         if new_logdet > best_logdet:
             best_logdet = new_logdet
             best_s = s.copy()
@@ -252,9 +254,10 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
     best_val = -math.inf
     best_draw: np.ndarray | None = None
     for start in range(0, trials, CHUNK):
-        gens = generators(seed, "trial", range(start, min(start + CHUNK, trials)))
-        draws = np.searchsorted(cum, np.array([gen.random(k) for gen in gens]), side="right")
-        chunk = values[start:start + len(draws)] = _set_values(x, draws)
+        stop = min(start + CHUNK, trials)
+        u = np.array([generator(seed, "trial", t).random(k) for t in range(start, stop)])
+        draws = np.searchsorted(cum, u, side="right")
+        chunk = values[start:stop] = _set_values(x, draws)
         i = int(np.argmax(chunk))
         if chunk[i] > best_val:
             best_val, best_draw = float(chunk[i]), draws[i]

@@ -217,14 +217,14 @@ def cholesky_spd(a, rel_tol: float = 1e-13) -> np.ndarray | None:
     pivots = np.empty(m.shape[:-1])
     with np.errstate(invalid="ignore", divide="ignore"):  # failed rows are discarded
         for j in range(d):
-            row = low[..., j:j + 1, :j]
-            row_t = row.swapaxes(-1, -2)
-            s = pivots[..., j] = m[..., j, j] - (row @ row_t)[..., 0, 0]
+            row_t = low[..., j, :j, None]
+            s = pivots[..., j] = m[..., j, j] - (row_t.swapaxes(-1, -2) @ row_t)[..., 0, 0]
             piv = low[..., j, j] = np.sqrt(s)
-            low[..., j + 1:, j] = ((m[..., j + 1:, j] - (low[..., j + 1:, :j] @ row_t)[..., 0])
-                                   / piv[..., None])
+            if j + 1 < d:
+                low[..., j + 1:, j] = ((m[..., j + 1:, j] - (low[..., j + 1:, :j] @ row_t)[..., 0])
+                                       / piv[..., None])
     diag_max = np.diagonal(m, axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
-    ok = np.all(pivots > rel_tol * diag_max[..., None], axis=-1)
+    ok = pivots.min(axis=-1, initial=np.inf) > rel_tol * diag_max
     if m.ndim == 2:
         return low if ok else None
     low[~ok] = 0.0
@@ -272,10 +272,8 @@ def det_gram(g) -> float | np.ndarray:
     return dets if m.ndim == 3 else float(dets[0])
 
 
-def logdet_spd(a, low: np.ndarray | None = None) -> float:
-    """log det A (-inf when A's Cholesky factor `low` fails)."""
-    if low is None:
-        low = cholesky_spd(a)
+def logdet_spd(low: np.ndarray | None) -> float:
+    """log det A from A's Cholesky factor `low`; -inf when the factor failed (None)."""
     if low is None:
         return -math.inf
     return 2.0 * float(np.sum(np.log(np.diag(low))))

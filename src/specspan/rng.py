@@ -40,18 +40,10 @@ def derive_seed(seed: int, *tags: int | str) -> int:
     return fold_tags(int(seed) & _MASK64, *tags)
 
 
-def _philox(seed: int, word: int) -> np.random.Generator:
-    key = np.array([int(seed) & _MASK64, word], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def generator(seed: int, *tags: int | str) -> np.random.Generator:
     """Philox generator keyed by (seed, folded tag path)."""
-    return _philox(seed, fold_tags(*tags) if tags else 0)
-
-
-def generators(seed: int, tag: int | str, indices):
-    """generator(seed, tag, i) for each i of `indices`, folding `tag` once
-    (fold_tags is a left fold, so fold_tags(tag, i) = _mix(fold_tags(tag), i))."""
-    head = fold_tags(tag)
-    return (_philox(seed, _mix(head, int(i) & _MASK64)) for i in indices)
+    key = np.array(
+        [int(seed) & _MASK64, fold_tags(*tags) if tags else 0],
+        dtype=np.uint64,
+    )
+    return np.random.Generator(np.random.Philox(key=key))

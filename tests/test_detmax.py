@@ -56,7 +56,7 @@ class TestBruteForce:
         sol = brute_force_detmax(vs, 2)
         assert sol.indices == (0, 1)
 
-    @pytest.mark.parametrize("k", [5, 6])
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 6])
     @pytest.mark.parametrize("chunk", [7, detmax.CHUNK])
     def test_matches_enumeration_across_chunks(self, monkeypatch, k, chunk):
         monkeypatch.setattr(detmax, "CHUNK", chunk)
@@ -300,13 +300,6 @@ class TestNikolovRound:
         res = nikolov_round(VectorSet(x), frac, 1, 40, seed=8)
         assert res.best.indices == (first_max,)
         assert res.best.value == pytest.approx(9.0)
-
-    def test_generators_fold_the_tag_once(self):
-        for tag in ("trial", 17):
-            gens = rng_mod.generators(99, tag, [0, 5, 2**40])
-            for t, gen in zip([0, 5, 2**40], gens):
-                ref = rng_mod.generator(99, tag, t)
-                assert np.array_equal(gen.random(4), ref.random(4))
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_guard(self, trials):

@@ -1,5 +1,6 @@
 """Linear algebra kernel against independent numpy/enumeration oracles."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -225,7 +226,8 @@ class TestCholeskyHelpers:
         b = rng.standard_normal((5, 3))
         assert np.array_equal(linalg.solve_spd(a, b, low), linalg.solve_spd(a, b))
         assert np.array_equal(linalg.inv_spd(a, low), linalg.inv_spd(a))
-        assert linalg.logdet_spd(a, low) == linalg.logdet_spd(a)
+        assert linalg.logdet_spd(low) == pytest.approx(math.log(np.linalg.det(a)), abs=1e-10)
+        assert linalg.logdet_spd(None) == -math.inf
 
 
 def gram_stack(rng, b: int, k: int, d: int, scale: float = 1.0) -> np.ndarray:
