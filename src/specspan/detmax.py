@@ -7,6 +7,7 @@ fractional solutions, and the D/E/A design objectives with their shared
 
 Enumeration, rounding trials and swap candidates are all scored the same way:
 CHUNK index sets at a time, by one stacked Cholesky of their Gram matrices.
+Design iterates are scored DESIGN_BLOCK at a time by one stacked Jacobi.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from . import linalg
-from .rng import generator
+from .rng import uniform_rows
 from .spanner import volume_greedy
 from .vectorset import as_vector_set
 
 BRUTE_GUARD = 10**7
 CHUNK = 4096                  # subsets scored per stacked Cholesky
+DESIGN_BLOCK = 64             # design iterates scored per stacked Jacobi
 SWAP_IMPROVE = 1e-9           # accept a swap only above this relative gain
 FW_DETMAX_ITERS = 1000
 FW_DETMAX_REL = 1e-9
@@ -237,8 +239,8 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
 
     Each trial has its own derived Philox stream so trials are independent and
     order-insensitive; the mean uses numpy's pairwise summation.  Trials are
-    drawn and scored CHUNK at a time, so beyond the per-trial values memory
-    is one chunk whatever `trials` is.
+    drawn (one uniform_rows pass) and scored CHUNK at a time, so beyond the
+    per-trial values memory is one chunk whatever `trials` is.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
@@ -255,8 +257,8 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
     best_draw: np.ndarray | None = None
     for start in range(0, trials, CHUNK):
         stop = min(start + CHUNK, trials)
-        u = np.array([generator(seed, "trial", t).random(k) for t in range(start, stop)])
-        draws = np.searchsorted(cum, u, side="right")
+        draws = np.searchsorted(cum, uniform_rows(seed, "trial", range(start, stop), k),
+                                side="right")
         chunk = values[start:stop] = _set_values(x, draws)
         i = int(np.argmax(chunk))
         if chunk[i] > best_val:
@@ -269,54 +271,60 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
     return RoundingResult(best, mean, std, trials)
 
 
-def _design_eigs(vs, weights=None, indices=None) -> np.ndarray:
+def _design_values(w: np.ndarray, obj: DesignObjective) -> np.ndarray:
+    """f at each row of eigenvalues `w` (b, d), sorted descending; +inf when singular."""
+    lam = np.maximum(w, 0.0)
+    lam_max = lam[:, 0]
+    ok = (lam_max > 0.0) & (lam[:, -1] > 1e-12 * lam_max)
+    lam, d = lam[ok], w.shape[1]
+    vals = np.full(len(w), math.inf)
+    if obj is DesignObjective.D:
+        # math.exp, not np.exp: the two can differ in the last bit
+        vals[ok] = [math.exp(-s / d) for s in np.sum(np.log(lam), axis=1)]
+    elif obj is DesignObjective.E:
+        vals[ok] = 1.0 / lam[:, -1]
+    else:
+        vals[ok] = np.sum(1.0 / lam, axis=1) / d
+    return vals
+
+
+def eval_design(vs, obj: DesignObjective, weights=None,
+                indices=None) -> float | np.ndarray:
+    """f(sum s_v vv^T) for the chosen design objective; +inf when singular.
+
+    `weights` is one weight vector or a stack (b, n) of them; a stack gives
+    an array of b values from one stacked sym_eig, each equal to the value of
+    its lone call.  `indices` are labels of the vector set.
+    """
     v = as_vector_set(vs)
     x = v.vectors
     if indices is not None:
         label_pos = {int(lbl): i for i, lbl in enumerate(v.labels)}
-        pos = [label_pos.get(int(i), int(i)) for i in indices]
+        unknown = [int(i) for i in indices if int(i) not in label_pos]
+        if unknown:
+            raise ValueError(f"unknown label {unknown[0]} in indices")
+        pos = [label_pos[int(i)] for i in indices]
         a = x[pos].T @ x[pos]
     elif weights is not None:
         w = np.asarray(weights, dtype=np.float64)
-        a = (x.T * w) @ x
+        if w.ndim == 2:  # one product per member, so each has its lone call's bits
+            a = np.array([(x.T * s) @ x for s in w]).reshape(len(w), v.dim, v.dim)
+        else:
+            a = (x.T * w) @ x
     else:
         a = x.T @ x
-    return linalg.sym_eig(a).eigenvalues
+    eigenvalues = linalg.sym_eig(a).eigenvalues
+    vals = _design_values(np.atleast_2d(eigenvalues), obj)
+    return vals if eigenvalues.ndim == 2 else float(vals[0])
 
 
-def eval_design(vs, obj: DesignObjective, weights=None, indices=None) -> float:
-    """f(sum s_v vv^T) for the chosen design objective; +inf when singular."""
-    w = _design_eigs(vs, weights, indices)
-    lam_max = max(float(w[0]), 0.0)
-    lam = np.maximum(w, 0.0)
-    if lam_max == 0.0 or float(lam[-1]) <= 1e-12 * lam_max:
-        return math.inf
-    if obj is DesignObjective.D:
-        return math.exp(-float(np.sum(np.log(lam))) / len(lam))
-    if obj is DesignObjective.E:
-        return 1.0 / float(lam[-1])
-    return float(np.sum(1.0 / lam)) / len(lam)
-
-
-def fractional_design(vs, obj: DesignObjective, budget: float,
-                      iters: int = FW_DESIGN_ITERS) -> FractionalSolution:
-    """Frank-Wolfe on the budgeted mass-allocation problem for a regular f.
-
-    Linearization scores: D uses v^T A^{-1} v, A uses v^T A^{-2} v, E uses
-    <v, w>^2 with w the minimum eigenvector (a subgradient; no optimality
-    claim).  Returns the best iterate encountered.
-    """
-    v = as_vector_set(vs)
-    x = v.vectors
-    n, d = x.shape
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if linalg.gram_schmidt(x).shape[0] < d:
-        raise Degenerate(f"rank(V) < d = {d}")
+def _design_iterates(x: np.ndarray, obj: DesignObjective, budget: float, iters: int):
+    """The Frank-Wolfe weights of fractional_design: the uniform start, then
+    one per step."""
+    n = x.shape[0]
     s = np.full(n, budget / n)
     a = (x.T * s) @ x
-    best_s = s.copy()
-    best_f = eval_design(v, obj, weights=s)
+    yield s.copy()
     for t in range(1, iters + 1):
         if obj is DesignObjective.E:
             eig = linalg.sym_eig(a)
@@ -334,8 +342,31 @@ def fractional_design(vs, obj: DesignObjective, budget: float,
         s *= 1.0 - gamma
         s[q] += gamma * budget
         a = (1.0 - gamma) * a + (gamma * budget) * np.outer(x[q], x[q])
-        f = eval_design(v, obj, weights=s)
-        if f < best_f:
-            best_f = f
-            best_s = s.copy()
+        yield s.copy()
+
+
+def fractional_design(vs, obj: DesignObjective, budget: float,
+                      iters: int = FW_DESIGN_ITERS) -> FractionalSolution:
+    """Frank-Wolfe on the budgeted mass-allocation problem for a regular f.
+
+    Linearization scores: D uses v^T A^{-1} v, A uses v^T A^{-2} v, E uses
+    <v, w>^2 with w the minimum eigenvector (a subgradient; no optimality
+    claim).  Returns the best iterate encountered, the first one on ties.
+    Iterates are scored DESIGN_BLOCK at a time by one stacked eval_design,
+    so beyond the vectors memory is one block whatever `iters` is.
+    """
+    v = as_vector_set(vs)
+    x = v.vectors
+    d = x.shape[1]
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"budget must be positive and finite (got {budget})")
+    if linalg.gram_schmidt(x).shape[0] < d:
+        raise Degenerate(f"rank(V) < d = {d}")
+    iterates = _design_iterates(x, obj, budget, iters)
+    best_s, best_f = None, math.inf
+    while (block := np.array(list(islice(iterates, DESIGN_BLOCK)))).size:
+        f = eval_design(v, obj, weights=block)
+        i = int(np.argmin(f))
+        if best_s is None or f[i] < best_f:
+            best_s, best_f = block[i].copy(), float(f[i])  # not a view that holds the block
     return FractionalSolution(best_s, float(budget))

@@ -332,6 +332,32 @@ class TestEvalDesign:
         vs = VectorSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
         assert eval_design(vs, DesignObjective.D, weights=np.ones(2)) == math.inf
 
+    def test_stack_members_are_lone_calls(self, rng):
+        x = rng.standard_normal((7, 3))
+        w = rng.uniform(0.0, 2.0, size=(6, 7))
+        w[2, 2:] = 0.0  # rank two: +inf
+        for obj in DesignObjective:
+            values = eval_design(x, obj, weights=w)
+            assert values.shape == (6,) and values[2] == math.inf
+            lone = [eval_design(x, obj, weights=row) for row in w]
+            assert values.tobytes() == np.array(lone).tobytes()
+        assert eval_design(x, DesignObjective.D, weights=np.zeros((0, 7))).shape == (0,)
+
+    def test_d_values_use_math_exp(self, rng):
+        # np.exp misses math.exp's last bit on a few percent of inputs
+        x = rng.standard_normal((7, 3))
+        w = rng.uniform(0.0, 2.0, size=(200, 7))
+        lams = linalg.sym_eig(np.array([(x.T * s) @ x for s in w])).eigenvalues
+        expect = [math.exp(-float(np.sum(np.log(lam))) / 3) for lam in lams]
+        assert eval_design(x, DesignObjective.D, weights=w).tolist() == expect
+
+    def test_unknown_label_is_rejected(self, rng):
+        vs = VectorSet(rng.standard_normal((8, 3)), labels=np.arange(100, 108))
+        assert eval_design(vs, DesignObjective.A, indices=[100, 103, 105]) == \
+            eval_design(vs, DesignObjective.A, weights=np.eye(8)[[0, 3, 5]].sum(axis=0))
+        with pytest.raises(ValueError, match="unknown label 3"):
+            eval_design(vs, DesignObjective.A, indices=[100, 3, 5])
+
     def test_indices_vs_weights(self, rng):
         x = rng.standard_normal((6, 3))
         vs = VectorSet(x)
@@ -372,6 +398,61 @@ class TestFractionalDesign:
     def test_degenerate(self):
         with pytest.raises(Degenerate):
             fractional_design(VectorSet(np.array([[1.0, 0.0]])), DesignObjective.D, 2.0)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_budget_must_be_positive_and_finite(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            fractional_design(VectorSet(np.eye(3)), DesignObjective.D, budget)
+
+
+def design_by_lone_calls(x, obj, budget, iters):
+    """fractional_design's Frank-Wolfe with numpy directions, scoring each
+    iterate by its own eval_design call; the first strict minimum wins."""
+    n = len(x)
+    s = np.full(n, budget / n)
+    a = (x.T * s) @ x
+    fs = [detmax.eval_design(x, obj, weights=s)]
+    best_s, best_f = s.copy(), fs[0]
+    for t in range(1, iters + 1):
+        if obj is DesignObjective.E:
+            scores = (x @ np.linalg.eigh(a)[1][:, 0]) ** 2
+        else:
+            xa = x @ np.linalg.inv(a)
+            scores = np.einsum("ij,ij->i", xa, x if obj is DesignObjective.D else xa)
+        q = int(np.argmax(scores))
+        gamma = 2.0 / (t + 2.0)
+        s *= 1.0 - gamma
+        s[q] += gamma * budget
+        a = (1.0 - gamma) * a + (gamma * budget) * np.outer(x[q], x[q])
+        fs.append(detmax.eval_design(x, obj, weights=s))
+        if fs[-1] < best_f:
+            best_s, best_f = s.copy(), fs[-1]
+    return best_s, fs
+
+
+class TestDesignBlocks:
+    @pytest.mark.parametrize("obj", list(DesignObjective))
+    @pytest.mark.parametrize("block", [1, 4, detmax.DESIGN_BLOCK])
+    def test_matches_lone_scoring(self, monkeypatch, obj, block):
+        monkeypatch.setattr(detmax, "DESIGN_BLOCK", block)
+        x = np.random.default_rng(31).standard_normal((9, 3))
+        for iters in (0, 3, 41):
+            ref, _ = design_by_lone_calls(x, obj, 6.0, iters)
+            got = fractional_design(x, obj, 6.0, iters=iters).weights
+            assert got.tobytes() == ref.tobytes()
+            assert got.base is None  # not a view that keeps a whole block alive
+
+    def test_tie_across_block_boundary_keeps_first(self, monkeypatch):
+        # values rounded to 0.1 tie from some iterate on; blocks of 4 split the tie
+        real = detmax.eval_design
+        monkeypatch.setattr(detmax, "eval_design", lambda *a, **kw: np.round(real(*a, **kw), 1))
+        monkeypatch.setattr(detmax, "DESIGN_BLOCK", 4)
+        x = np.random.default_rng(32).standard_normal((9, 3))
+        ref, fs = design_by_lone_calls(x, DesignObjective.A, 6.0, 30)
+        first = fs.index(min(fs))
+        assert min(fs) in fs[(first // 4 + 1) * 4:]  # a later block ties the first minimum
+        got = fractional_design(x, DesignObjective.A, 6.0, iters=30).weights
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestBetaScalingIdentity:

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specspan import linalg
 from conftest import principal_minor_detk, random_psd
@@ -289,3 +291,149 @@ class TestStackedCholesky:
     def test_empty_matrices(self):
         assert linalg.det_gram(np.zeros((0, 0))) == 1.0
         assert np.array_equal(linalg.det_gram(np.zeros((3, 0, 0))), np.ones(3))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def one_rotation(rng, d: int) -> np.ndarray:
+    """Diagonal but for one 2x2 block: one rotation diagonalizes it."""
+    a = np.diag(rng.uniform(1.0, 5.0, size=d))
+    a[0, 1] = a[1, 0] = 0.7
+    return a
+
+
+class TestStackedJacobi:
+    def assert_members_are_lone_calls(self, stack):
+        eig = linalg.sym_eig(stack)
+        assert eig.eigenvalues.shape == stack.shape[:2]
+        assert eig.eigenvectors.shape == stack.shape
+        for i, a in enumerate(stack):
+            w, vecs = linalg.sym_eig(a)
+            assert same_bits(eig.eigenvalues[i], w)
+            assert same_bits(eig.eigenvectors[i], vecs)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 12, 16])
+    def test_generic_members_are_lone_calls(self, rng, d):
+        # every member takes every rotation of the first sweep
+        self.assert_members_are_lone_calls(gram_stack(rng, 9, d, d + 2))
+
+    @pytest.mark.parametrize("d", [2, 5, 12])
+    def test_mixed_members_are_lone_calls(self, rng, d):
+        members = [random_psd(rng, d) - random_psd(rng, d),  # indefinite
+                   np.diag(rng.standard_normal(d)),          # already diagonal
+                   one_rotation(rng, d),
+                   np.zeros((d, d)),
+                   1e6 * random_psd(rng, d, rank=1),          # rank one, large
+                   1e-6 * random_psd(rng, d)]
+        a = random_psd(rng, d)
+        members.append(a + a[::-1, ::-1])                    # paired eigenvalues
+        self.assert_members_are_lone_calls(np.array(members))
+
+    def test_members_converge_at_different_sweeps(self, rng, monkeypatch):
+        diag, single, generic = np.diag([3.0, 1.0, 2.0]), one_rotation(rng, 3), random_psd(rng, 3)
+        stack = np.array([diag, single, generic])
+        self.assert_members_are_lone_calls(stack)
+        monkeypatch.setattr(linalg, "EIG_SWEEP_CAP", 1)
+        linalg.sym_eig(diag)  # done within one sweep
+        linalg.sym_eig(single)
+        with pytest.raises(RuntimeError, match="sweep cap"):
+            linalg.sym_eig(generic)
+        with pytest.raises(RuntimeError, match="sweep cap"):
+            linalg.sym_eig(stack)
+        self.assert_members_are_lone_calls(stack[:2])
+
+    def test_one_dimensional_members(self):
+        eig = linalg.sym_eig(np.array([[[4.0]], [[-2.0]], [[0.0]]]))
+        assert np.array_equal(eig.eigenvalues, [[4.0], [-2.0], [0.0]])
+        assert np.array_equal(eig.eigenvectors, np.ones((3, 1, 1)))
+
+    @pytest.mark.parametrize("d", [0, 4])
+    def test_empty_stack(self, d):
+        eig = linalg.sym_eig(np.zeros((0, d, d)))
+        assert eig.eigenvalues.shape == (0, d)
+        assert eig.eigenvectors.shape == (0, d, d)
+
+    def test_upper_triangle_is_mirrored(self, rng):
+        a = random_psd(rng, 4)
+        b = a.copy()
+        b[2, 0] += 1e-12  # within the symmetry tolerance
+        eig = linalg.sym_eig(np.array([b, a]))
+        assert same_bits(eig.eigenvalues[0], eig.eigenvalues[1])
+
+    def test_validates_every_member(self, rng):
+        a = random_psd(rng, 3)
+        skew = a.copy()
+        skew[0, 1] += 1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.sym_eig(np.array([a, skew]))
+        bad = a.copy()
+        bad[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.sym_eig(np.array([a, bad]))
+        with pytest.raises(ValueError, match="stack"):
+            linalg.sym_eig(np.zeros((2, 3, 4)))
+
+
+SPECTRUM_KINDS = ("clustered", "repeated", "wide")
+
+
+@st.composite
+def spectral_matrices(draw, signed: bool):
+    """Q diag(lam) Q^T with a random orthogonal Q and a structured spectrum."""
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(SPECTRUM_KINDS))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "clustered":
+        centers = gen.uniform(0.1, 10.0, size=2)
+        lam = gen.choice(centers, d) * (1.0 + 1e-9 * gen.standard_normal(d))
+    elif kind == "repeated":
+        lam = gen.choice(gen.uniform(0.0, 10.0, size=2), d)
+    else:
+        lam = 10.0 ** gen.uniform(-8.0, 8.0, size=d)
+    if signed:
+        lam = lam * gen.choice([-1.0, 1.0], d)
+    q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    a = (q * lam) @ q.T
+    return (a + a.T) / 2.0
+
+
+def elementary_symmetric(lam: np.ndarray, k: int) -> float:
+    return abs(float(np.poly(lam)[k]))  # coefficients of prod(x - lam_i)
+
+
+class TestSpectraAgainstNumpy:
+    @given(spectral_matrices(signed=True))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_sym_eig(self, a):
+        w, vecs = linalg.sym_eig(a)
+        d, norm_a = a.shape[0], float(np.linalg.norm(a))
+        assert np.allclose(w, np.linalg.eigvalsh(a)[::-1], rtol=0.0, atol=1e-10 * norm_a)
+        assert np.linalg.norm((vecs * w) @ vecs.T - a) <= 1e-9 * norm_a
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(d)) <= 1e-9
+
+    @given(spectral_matrices(signed=False), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_det_k(self, a, k):
+        d = a.shape[0]
+        k = min(k, d)
+        lam = np.maximum(np.linalg.eigvalsh(a), 0.0)
+        delta = 1e-9 * float(np.linalg.norm(a))  # both eigensolvers are this close
+        lo = elementary_symmetric(np.maximum(lam - delta, 0.0), k)
+        hi = elementary_symmetric(lam + delta, k)
+        assert lo * (1 - 1e-9) <= linalg.det_k(a, k) <= hi * (1 + 1e-9)
+
+    @given(spectral_matrices(signed=True), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_preceq_k(self, m, k):
+        d = m.shape[0]
+        k = min(k, d)
+        base = np.diag(np.arange(1.0, d + 1.0))
+        b = base + m
+        norm_a, norm_b = float(np.linalg.norm(base)), float(np.linalg.norm(b))
+        bar = -linalg.DEFAULT_ORDER_TOL * (1.0 + norm_a + norm_b)
+        tail = float(np.sum(np.linalg.eigvalsh(b - base)[::-1][k - 1:]))
+        assume(abs(tail - bar) > 1e-8 * (1.0 + norm_b))  # clear of the threshold
+        assert linalg.preceq_k(base, b, k) == (tail >= bar)
