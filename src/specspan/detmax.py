@@ -20,7 +20,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from . import linalg
-from .rng import uniform_rows
+from .rng import generator
 from .spanner import volume_greedy
 from .vectorset import as_vector_set
 
@@ -237,10 +237,10 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
                   seed: int) -> RoundingResult:
     """k i.i.d. draws with probability s_v/k per trial; best trial wins.
 
-    Each trial has its own derived Philox stream so trials are independent and
-    order-insensitive; the mean uses numpy's pairwise summation.  Trials are
-    drawn (one uniform_rows pass) and scored CHUNK at a time, so beyond the
-    per-trial values memory is one chunk whatever `trials` is.
+    All trials read one Philox stream: trial t takes its draws t*k to t*k+k-1,
+    so results do not depend on CHUNK or THREADS.  The mean uses numpy's
+    pairwise summation.  Trials are drawn and scored CHUNK at a time, so beyond
+    the per-trial values memory is one chunk whatever `trials` is.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
@@ -255,10 +255,10 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
     values = np.empty(trials)
     best_val = -math.inf
     best_draw: np.ndarray | None = None
+    gen = generator(seed, "trials")
     for start in range(0, trials, CHUNK):
         stop = min(start + CHUNK, trials)
-        draws = np.searchsorted(cum, uniform_rows(seed, "trial", range(start, stop), k),
-                                side="right")
+        draws = np.searchsorted(cum, gen.random((stop - start, k)), side="right")
         chunk = values[start:stop] = _set_values(x, draws)
         i = int(np.argmax(chunk))
         if chunk[i] > best_val:

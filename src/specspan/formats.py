@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import IO
 
 import numpy as np
 
@@ -94,9 +93,9 @@ def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(report: dict, path: str | None, stream: IO[str] | None = None) -> None:
+def write_report(report: dict, path: str | None) -> None:
     text = report_json(report)
     if path:
         with open(path, "w") as fh:
             fh.write(text)
-    (stream or sys.stdout).write(text)
+    sys.stdout.write(text)

@@ -1,11 +1,14 @@
 """Small dense linear programming for directional domination and coverage.
 
-The kernel is a two-phase tableau simplex with Bland's anti-cycling rule;
-free variables are split into nonnegative parts before solving.  Two LPs sit
-on it: the directional-domination check (min t with <x,v> = 1 and
-|<x,u>| <= t) and its dual, the minimum-l1 representation of v over U, whose
-norm is 1/t*.  Sized for desk-scale problems (tens of variables and
-constraints), deterministic by construction.
+One kernel, `solve_lp`, runs a two-phase tableau simplex with Bland's
+anti-cycling rule on a standard-form LP (min c @ z with a @ z = b, z >= 0).
+Two LPs are built on it: the directional-domination check (min t with
+<x,v> = 1 and |<x,u>| <= t, x and t split into nonnegative parts) and its
+dual, the minimum-l1 representation of v over U, whose norm is 1/t*.  Both
+builders first scale v and U by the power of two that takes |v| nearest 1;
+the scaling is exact, so the kernel's absolute tolerances see the same
+problem at every input scale.  Sized for desk-scale problems (tens of
+variables and constraints), deterministic by construction.
 """
 
 from __future__ import annotations
@@ -85,151 +88,82 @@ def _simplex(tableau: np.ndarray, basis: list[int], ncols: int) -> None:
                 raise Unbounded("objective unbounded below")
         if enter < 0:
             return
-        piv = tableau[leave, enter]
-        tableau[leave] /= piv
-        col = tableau[:, enter].copy()
-        col[leave] = 0.0
-        tableau -= np.outer(col, tableau[leave])
-        tableau[:, enter] = 0.0
-        tableau[leave, enter] = 1.0
-        basis[leave] = enter
+        _pivot(tableau, basis, leave, enter)
     raise RuntimeError("simplex pivot cap breached; this is an internal failure")
 
 
-def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> tuple[np.ndarray, float]:
-    """Minimize c @ x subject to a_eq @ x == b_eq and a_ub @ x <= b_ub.
+def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """Make column `col` basic in `row`."""
+    tableau[row] /= tableau[row, col]
+    entries = tableau[:, col].copy()
+    entries[row] = 0.0
+    tableau -= np.outer(entries, tableau[row])
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    basis[row] = col
 
-    Variables are free; they are split into positive/negative parts for the
-    standard-form simplex.  Returns (x, value).  Raises Infeasible/Unbounded.
+
+def solve_lp(a, b, c, ready: dict[int, int]) -> np.ndarray:
+    """Minimize c @ z subject to a @ z == b and z >= 0; returns the optimal z.
+
+    Rows with b < 0 are negated first.  `ready` maps a row to a column holding
+    a unit entry in that row only, usable as a ready basic variable; every
+    other row gets an artificial.  Rows found redundant in phase 1 are
+    dropped.  Raises Infeasible or Unbounded.
     """
+    a = np.array(a, dtype=np.float64)
+    b = np.array(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    n = c.shape[0]
-    rows = []
-    rhs = []
-    is_eq = []
-    if a_eq is not None and len(a_eq):
-        for row, b in zip(np.atleast_2d(np.asarray(a_eq, dtype=np.float64)),
-                          np.atleast_1d(np.asarray(b_eq, dtype=np.float64))):
-            rows.append(row)
-            rhs.append(float(b))
-            is_eq.append(True)
-    if a_ub is not None and len(a_ub):
-        for row, b in zip(np.atleast_2d(np.asarray(a_ub, dtype=np.float64)),
-                          np.atleast_1d(np.asarray(b_ub, dtype=np.float64))):
-            rows.append(row)
-            rhs.append(float(b))
-            is_eq.append(False)
-    m = len(rows)
-    if m == 0:
-        if np.any(c):
-            raise Unbounded("no constraints")
-        return np.zeros(n), 0.0
-
-    n_slack = sum(1 for e in is_eq if not e)
-    width = 2 * n + n_slack
-    a_std = np.zeros((m, width))
-    b_std = np.zeros(m)
-    slack_at = 0
-    slack_col = {}
-    for i, (row, b, eq) in enumerate(zip(rows, rhs, is_eq)):
-        a_std[i, :n] = row
-        a_std[i, n:2 * n] = -row
-        if not eq:
-            a_std[i, 2 * n + slack_at] = 1.0
-            slack_col[i] = 2 * n + slack_at
-            slack_at += 1
-        b_std[i] = b
-        if b < 0.0:
-            a_std[i] *= -1.0
-            b_std[i] *= -1.0
-
-    c_std = np.concatenate([c, -c, np.zeros(width - 2 * n)])
-    z = _two_phase(a_std, b_std, c_std, slack_col)
-    x = z[:n] - z[n:2 * n]
-    return x, float(c @ x)
-
-
-def _two_phase(a_std: np.ndarray, b_std: np.ndarray, c_std: np.ndarray,
-               slack_col: dict[int, int]) -> np.ndarray:
-    """Minimize c_std @ z subject to a_std @ z == b_std, z >= 0 (b_std >= 0).
-
-    `slack_col` maps a row to a column holding a unit entry in that row only,
-    usable as a ready basic variable; every other row gets an artificial.
-    Rows found redundant in phase 1 are dropped.  Returns the optimal z.
-    """
-    m, width = a_std.shape
+    flip = b < 0.0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    m, width = a.shape
     # Phase 1: artificials wherever the row has no ready identity column.
-    basis: list[int] = []
-    art_cols: list[int] = []
-    extra = []
-    for i in range(m):
-        j = slack_col.get(i)
-        if j is not None and a_std[i, j] == 1.0:
-            basis.append(j)
-        else:
-            col = np.zeros(m)
-            col[i] = 1.0
-            extra.append(col)
-            basis.append(width + len(extra) - 1)
-            art_cols.append(width + len(extra) - 1)
-    full = np.hstack([a_std] + ([np.array(extra).T] if extra else []))
-    total = full.shape[1]
-
-    if art_cols:
-        tab = np.zeros((m + 1, total + 1))
-        tab[:m, :total] = full
-        tab[:m, -1] = b_std
-        for j in art_cols:
-            tab[m, j] = 1.0
-        for i, bv in enumerate(basis):
-            if bv in art_cols:
-                tab[m] -= tab[i]
-        _simplex(tab, basis, total)
-        if -tab[m, -1] > PHASE1_TOL * (1.0 + float(np.max(np.abs(b_std)))):
+    basis = [ready.get(i, -1) for i in range(m)]
+    art_rows = [i for i in range(m) if basis[i] < 0 or a[i, basis[i]] != 1.0]
+    tab = np.zeros((m + 1, width + len(art_rows) + 1))
+    tab[:m, :width] = a
+    tab[:m, -1] = b
+    for j, i in enumerate(art_rows, start=width):
+        tab[i, j] = tab[m, j] = 1.0
+        basis[i] = j
+    if art_rows:
+        for i in art_rows:
+            tab[m] -= tab[i]
+        _simplex(tab, basis, tab.shape[1] - 1)
+        if -tab[m, -1] > PHASE1_TOL * (1.0 + float(np.max(np.abs(b)))):
             raise Infeasible("phase-1 optimum is positive")
-        # drive leftover artificials out of the basis
-        drop_rows = []
+        # drive leftover artificials out of the basis; drop redundant rows
+        keep = []
         for i in range(m):
-            if basis[i] in art_cols:
-                pivot_j = -1
-                for j in range(width):
-                    if abs(tab[i, j]) > PIVOT_EPS:
-                        pivot_j = j
-                        break
-                if pivot_j < 0:
-                    drop_rows.append(i)
+            if basis[i] >= width:
+                pivots = np.flatnonzero(np.abs(tab[i, :width]) > PIVOT_EPS)
+                if len(pivots) == 0:
                     continue
-                piv = tab[i, pivot_j]
-                tab[i] /= piv
-                col = tab[:, pivot_j].copy()
-                col[i] = 0.0
-                tab -= np.outer(col, tab[i])
-                tab[:, pivot_j] = 0.0
-                tab[i, pivot_j] = 1.0
-                basis[i] = pivot_j
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            tab = tab[keep + [m]]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        tab = np.hstack([tab[:, :width], tab[:, -1:]])
-    else:
-        tab = np.zeros((m + 1, width + 1))
-        tab[:m, :width] = a_std
-        tab[:m, -1] = b_std
+                _pivot(tab, basis, i, int(pivots[0]))
+            keep.append(i)
+        tab = np.hstack([tab[keep + [m], :width], tab[keep + [m], -1:]])
+        basis = [basis[i] for i in keep]
+        m = len(keep)
 
     # Phase 2 objective row: reduced costs.
-    tab[m, :width] = c_std
+    tab[m, :width] = c
     tab[m, -1] = 0.0
     for i, bv in enumerate(basis):
-        if c_std[bv] != 0.0:
-            tab[m] -= c_std[bv] * tab[i]
+        if c[bv] != 0.0:
+            tab[m] -= c[bv] * tab[i]
     _simplex(tab, basis, width)
 
     z = np.zeros(width)
     for i, bv in enumerate(basis):
         z[bv] = tab[i, -1]
     return z
+
+
+def _unit_scale(v: np.ndarray) -> float:
+    """The power of two nearest 1/|v| (1 for v = 0); scaling by it is exact."""
+    norm = math.hypot(*v.tolist())
+    return 2.0 ** -round(math.log2(norm)) if norm > 0.0 else 1.0
 
 
 def l1_representation(u, v) -> np.ndarray:
@@ -241,32 +175,11 @@ def l1_representation(u, v) -> np.ndarray:
     """
     u = as_matrix(u)
     v = np.asarray(v, dtype=np.float64)
+    scale = _unit_scale(v)
+    ut = scale * u.T
     m = u.shape[0]
-    a_std = np.hstack([u.T, -u.T])
-    b_std = v.copy()
-    flip = b_std < 0.0
-    a_std[flip] *= -1.0
-    b_std[flip] *= -1.0
-    z = _two_phase(a_std, b_std, np.ones(2 * m), {})
+    z = solve_lp(np.hstack([ut, -ut]), scale * v, np.ones(2 * m), {})
     return z[:m] - z[m:]
-
-
-@dataclass
-class DominationQuery:
-    """Is candidate v already dominated in every direction by the set U?"""
-
-    v: np.ndarray
-    spanner_vectors: np.ndarray
-    alpha: float
-
-    def __post_init__(self) -> None:
-        self.v = np.asarray(self.v, dtype=np.float64)
-        self.spanner_vectors = as_matrix(self.spanner_vectors) if len(self.spanner_vectors) else \
-            np.zeros((0, self.v.shape[0]))
-        if self.alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
-        if len(self.spanner_vectors) and self.spanner_vectors.shape[1] != self.v.shape[0]:
-            raise ValueError("dimension mismatch between v and spanner vectors")
 
 
 @dataclass
@@ -285,51 +198,82 @@ def cover_threshold(alpha: float) -> float:
     return (1.0 - COVER_SLACK_REL) / math.sqrt(alpha)
 
 
-def domination_check(query: DominationQuery) -> DominationResult:
+def domination_check(v, spanner_vectors, alpha: float) -> DominationResult:
     """Solve min t s.t. <x,v> = 1, |<x,u>| <= t for all u in the spanner.
 
     The polytope {x : <x,v> > sqrt(alpha)|<x,u>| for all u} is nonempty exactly
     when t* < 1/sqrt(alpha); the optimal x is then the strongest witness.
     """
-    v = query.v
-    us = query.spanner_vectors
-    alpha = query.alpha
-    nrm2 = float(np.dot(v, v))
-    if math.sqrt(nrm2) <= 1e-12:
-        raise ZeroVector("candidate vector has (near-)zero norm")
-    if len(us) == 0:
-        return DominationResult("witness", 0.0, v / nrm2)
-
+    v = np.asarray(v, dtype=np.float64)
     d = v.shape[0]
+    us = as_matrix(spanner_vectors) if len(spanner_vectors) else np.zeros((0, d))
+    if alpha < 1.0:
+        raise ValueError("alpha must be >= 1")
+    if us.shape[1] != d:
+        raise ValueError("dimension mismatch between v and spanner vectors")
+    if not np.any(v):
+        raise ZeroVector("candidate vector is zero")
+    # t* is scale-free and x scales inversely, so solve at |v| ~ 1
+    scale = _unit_scale(v)
+    v = scale * v
+    us = scale * us
+    if len(us) == 0:
+        return DominationResult("witness", 0.0, v / float(np.dot(v, v)) * scale)
+
+    # Columns x+, t+, x-, t-, then one slack per row <x,u> - t <= 0 and
+    # -<x,u> - t <= 0; row 0 is <x,v> = 1.
     nu = us.shape[0]
-    c = np.zeros(d + 1)
+    half = np.zeros((1 + 2 * nu, d + 1))
+    half[0, :d] = v
+    half[1:nu + 1, :d] = us
+    half[nu + 1:, :d] = -us
+    half[1:, d] = -1.0
+    a = np.hstack([half, -half, np.vstack([np.zeros(2 * nu), np.eye(2 * nu)])])
+    b = np.zeros(1 + 2 * nu)
+    b[0] = 1.0
+    c = np.zeros(a.shape[1])
     c[d] = 1.0
-    a_eq = np.zeros((1, d + 1))
-    a_eq[0, :d] = v
-    b_eq = np.array([1.0])
-    a_ub = np.zeros((2 * nu, d + 1))
-    a_ub[:nu, :d] = us
-    a_ub[nu:, :d] = -us
-    a_ub[:, d] = -1.0
-    b_ub = np.zeros(2 * nu)
+    c[2 * d + 1] = -1.0
     try:
-        x_ext, _ = solve_lp(c, a_eq, b_eq, a_ub, b_ub)
+        z = solve_lp(a, b, c, {i: 2 * d + 1 + i for i in range(1, 2 * nu + 1)})
     except (Infeasible, Unbounded):
         # A numerical failure: the LP is bounded (t >= 0) and feasible (v != 0).
-        # Out of span(U), v's residual r against U's frame gives the feasible
-        # point x = r/<r,v>; its margin is measured, not assumed.
-        r = linalg.project_orth(v, linalg.gram_schmidt(us))
-        rv = float(np.dot(r, v))
-        margin = float(np.max(np.abs(us @ r))) / rv if rv > 0.0 else math.inf
-        if not margin < cover_threshold(alpha):
+        res = _settle_failed_solve(v, us, alpha)
+        if res is None:
             raise
+    else:
+        x = z[:d] - z[d + 1:2 * d + 1]
+        inner = float(np.dot(x, v))
+        if inner <= 0.0:  # cannot happen for a correct solve; guard division
+            raise RuntimeError("simplex returned an infeasible point")
+        x = x / inner
+        margin = float(np.max(np.abs(us @ x)))
+        res = (DominationResult("covered", margin) if margin >= cover_threshold(alpha)
+               else DominationResult("witness", margin, x))
+    if res.witness is not None:
+        res.witness = res.witness * scale
+    return res
+
+
+def _settle_failed_solve(v: np.ndarray, us: np.ndarray,
+                         alpha: float) -> DominationResult | None:
+    """The answer to a query whose simplex failed, or None when unsettled.
+
+    Out of span(U), v's residual r against U's frame gives the feasible point
+    x = r/<r,v>; its margin is measured, not assumed.  Otherwise the l1 LP in
+    the frame gives t* = 1/||c||_1, which settles a covered query; a witness
+    would need that LP's dual.
+    """
+    basis = linalg.gram_schmidt(us)
+    r = linalg.project_orth(v, basis)
+    rv = float(np.dot(r, v))
+    margin = float(np.max(np.abs(us @ r))) / rv if rv > 0.0 else math.inf
+    threshold = cover_threshold(alpha)
+    if margin < threshold:
         return DominationResult("witness", margin, r / rv)
-    x = x_ext[:d]
-    inner = float(np.dot(x, v))
-    if inner <= 0.0:  # cannot happen for a correct solve; guard division
-        raise RuntimeError("simplex returned an infeasible point")
-    x = x / inner
-    margin = float(np.max(np.abs(us @ x))) if nu else 0.0
-    if margin >= cover_threshold(alpha):
-        return DominationResult("covered", margin)
-    return DominationResult("witness", margin, x)
+    try:
+        c = l1_representation(us @ basis.T, basis @ v)
+    except (Infeasible, Unbounded):
+        return None
+    margin = 1.0 / float(np.sum(np.abs(c)))
+    return DominationResult("covered", margin) if margin >= threshold else None

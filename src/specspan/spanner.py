@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .lp import (DominationQuery, DominationResult, Infeasible, cover_threshold,
-                 domination_check, l1_representation)
+from .lp import (DominationResult, Infeasible, cover_threshold, domination_check,
+                 l1_representation)
 from .vectorset import VectorSet, as_matrix, as_vector_set
 
 ZERO_NORM_REL = 1e-12        # ingestion: drop vectors this far below max norm
@@ -165,7 +165,7 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None,
             if len(news) == 0 or float(np.max(np.abs(news @ wx))) <= margin:
                 cache[i] = (wx, margin, len(picks))
                 return DominationResult("witness", margin, wx)
-        res = domination_check(DominationQuery(x[i], x[picks], alpha))
+        res = domination_check(x[i], x[picks], alpha)
         if not res.covered:
             cache[i] = (res.witness, res.margin, len(picks))
         return res
@@ -261,7 +261,7 @@ def verify_weak(vs, sp, alpha: float) -> tuple[bool, tuple[int, np.ndarray] | No
                 continue
         except NotInSpan:
             pass
-        res = domination_check(DominationQuery(x[i], u, alpha))
+        res = domination_check(x[i], u, alpha)
         if not res.covered:
             return False, (int(v.labels[i]), res.witness)
     return True, None

@@ -23,8 +23,8 @@ from specspan.spanner import (build_d_spanner, build_k_spanner, certify_all,
                               verify_weak)
 from specspan.vectorset import VectorSet
 
-CORPUS = json.load(open(os.path.join(os.path.dirname(__file__),
-                                     "data", "regression_corpus.json")))
+with open(os.path.join(os.path.dirname(__file__), "data", "regression_corpus.json")) as fh:
+    CORPUS = json.load(fh)
 
 
 def announce(criterion: int, name: str, ok: bool, detail: str = "") -> None:

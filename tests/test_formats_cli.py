@@ -227,6 +227,18 @@ class TestCli:
         assert rep["ratio"] >= rep["guarantee"]
         assert json.loads(rep_path.read_text()) == rep
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e6])
+    def test_pipeline_on_scaled_sphere(self, tmp_path, capsys, scale):
+        # at 1e-13 the domination LP once raised ZeroVector (exit 1)
+        g = np.random.default_rng(3).standard_normal((200, 8))
+        data = tmp_path / "s.csv"
+        write_vector_file(str(data), VectorSet(scale * g / np.linalg.norm(g, axis=1, keepdims=True)))
+        code, out, _ = run_cli(["pipeline", "--input", str(data), "--parts", "4",
+                                "--k", "2", "--seed", "7"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["guarantee"] <= rep["ratio"] <= 1.0 + 1e-9
+
     def test_pipeline_hard_instance_reports_survival(self, tmp_path, capsys):
         data = tmp_path / "h.csv"
         run_cli(["gen", "hard", "--d", "16", "--beta", "1", "--n-override",

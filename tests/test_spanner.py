@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specspan import hardgen, linalg, spanner
-from specspan.lp import DominationQuery, domination_check
+from specspan.lp import domination_check
 from specspan.spanner import (NotInSpan, SpannerParams, build_d_spanner,
                               build_k_spanner, certify_all,
                               check_witness_dominance,
@@ -263,7 +263,7 @@ class TestStrongCertificate:
         assert quad == pytest.approx(ref ** 2, rel=1e-9)
         if ref >= 1.0:
             assert quad == pytest.approx(1.0 / cert.delta, rel=1e-9)
-        margin = domination_check(DominationQuery(v, u, 4.0)).margin
+        margin = domination_check(v, u, 4.0).margin
         assert margin == pytest.approx(1.0 / ref, rel=1e-9)
 
     def test_weak_implies_strong(self, rng):
