@@ -1,7 +1,8 @@
 """Dense real linear algebra kernel.
 
 Jacobi symmetric eigendecomposition (of one matrix, or of a whole stack one
-rotation at a time), Gram-Schmidt, orthogonal projection, the
+rotation at a time), the exact power-of-two scale that brings a vector or a
+matrix's largest row near unit norm, Gram-Schmidt, orthogonal projection, the
 elementary-symmetric determinant det_k, the eigenvalue-tail order check
 between symmetric matrices, and a Cholesky factor (of one matrix, or of a
 whole stack one column step at a time) with solves and Gram determinants for
@@ -231,15 +232,34 @@ def project_orth(v, basis) -> np.ndarray:
     return vv - b.T @ (b @ vv)
 
 
+def unit_scale(x) -> float:
+    """The power of two nearest 1/|x| for a vector, 1/(largest row norm) for a
+    matrix; 1 for zero input.
+
+    Scaling by it is exact.  The largest row is found on the rows scaled by
+    the power of two of the largest entry, and its norm comes from math.hypot,
+    so no square underflows or overflows; the factor is capped at 2^1023 so
+    that subnormal input cannot overflow it.
+    """
+    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if len(a) > 1:
+        s = np.ldexp(a, -math.frexp(float(np.abs(a).max(initial=0.0)))[1])
+        a = a[(s * s).sum(axis=1).argmax()]
+    norm = math.hypot(*a.ravel().tolist())
+    return 2.0 ** -max(round(math.log2(norm)), -1023) if norm > 0.0 else 1.0
+
+
 def gram_schmidt(vs) -> np.ndarray:
     """Orthonormalize rows of `vs`; near-dependent vectors are dropped.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass.  A vector whose
-    residual norm is <= GS_DROP_REL * (max input norm) is dropped.
+    Modified Gram-Schmidt with one re-orthogonalization pass, on the rows
+    scaled by unit_scale so that no norm underflows.  A vector whose residual
+    norm is <= GS_DROP_REL * (max input norm) is dropped.
     """
     x = np.atleast_2d(np.asarray(vs, dtype=np.float64))
     if x.size == 0:
         return np.zeros((0, x.shape[1] if x.ndim == 2 else 0))
+    x = unit_scale(x) * x
     max_norm = max(vec_norm(row) for row in x)
     if max_norm == 0.0:
         return np.zeros((0, x.shape[1]))

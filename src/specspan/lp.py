@@ -160,12 +160,6 @@ def solve_lp(a, b, c, ready: dict[int, int]) -> np.ndarray:
     return z
 
 
-def _unit_scale(v: np.ndarray) -> float:
-    """The power of two nearest 1/|v| (1 for v = 0); scaling by it is exact."""
-    norm = math.hypot(*v.tolist())
-    return 2.0 ** -round(math.log2(norm)) if norm > 0.0 else 1.0
-
-
 def l1_representation(u, v) -> np.ndarray:
     """Minimum-l1 coefficients: argmin ||c||_1 subject to u.T @ c == v.
 
@@ -175,7 +169,7 @@ def l1_representation(u, v) -> np.ndarray:
     """
     u = as_matrix(u)
     v = np.asarray(v, dtype=np.float64)
-    scale = _unit_scale(v)
+    scale = linalg.unit_scale(v)
     ut = scale * u.T
     m = u.shape[0]
     z = solve_lp(np.hstack([ut, -ut]), scale * v, np.ones(2 * m), {})
@@ -214,7 +208,7 @@ def domination_check(v, spanner_vectors, alpha: float) -> DominationResult:
     if not np.any(v):
         raise ZeroVector("candidate vector is zero")
     # t* is scale-free and x scales inversely, so solve at |v| ~ 1
-    scale = _unit_scale(v)
+    scale = linalg.unit_scale(v)
     v = scale * v
     us = scale * us
     if len(us) == 0:

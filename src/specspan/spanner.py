@@ -2,10 +2,12 @@
 
 The greedy build repeatedly finds a vector whose squared projection along some
 direction beats every chosen vector by a factor alpha, then adds the input
-vector with the largest projection along that direction.  Verification covers
-the per-direction (weak) property, exact per-vector domination certificates
-from one minimum-l1 LP each (Elfving's theorem), and the k-order variant that
-mixes a volume-greedy stage with a spanner built in the projected frame.
+vector with the largest projection along that direction.  Every verifier
+settles coverage by one minimum-l1 representation of v over U (Elfving's
+theorem), with U's span frame computed once per call: the per-direction (weak)
+property, exact per-vector certificates, and the k-order variant that mixes a
+volume-greedy stage with a spanner built in the projected frame.  One
+scale-free rule decides which rows are zero, for the build and every verifier.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .lp import (DominationResult, Infeasible, cover_threshold, domination_check,
-                 l1_representation)
+from .lp import Infeasible, cover_threshold, domination_check, l1_representation
 from .vectorset import VectorSet, as_matrix, as_vector_set
 
-ZERO_NORM_REL = 1e-12        # ingestion: drop vectors this far below max norm
+ZERO_NORM_REL = 1e-12        # a row this far below the largest row norm is zero
 SCREEN_SLACK = 1e-6          # safety margin of the l1 coverage pre-screen
 SPAN_RESIDUAL_REL = 1e-9     # in-span test for the pre-screen
 CERT_SLACK = 1e-6            # certificate passes when delta >= 1/alpha - this
@@ -89,17 +90,28 @@ class CoverageCertificate:
         return self.delta >= 1.0 / alpha - CERT_SLACK
 
 
+def _nonzero_rows(x: np.ndarray) -> np.ndarray:
+    """Mask of the rows above ZERO_NORM_REL times the largest row norm.
+
+    Norms are taken on the rows scaled by linalg.unit_scale, so no square
+    underflows or overflows.  A row of subnormal norm is zero: its witness
+    would overflow.
+    """
+    scale = linalg.unit_scale(x)
+    norms = np.sqrt(np.einsum("ij,ij->i", scale * x, scale * x))
+    top = float(norms.max(initial=0.0))
+    return norms > max(ZERO_NORM_REL * top, np.finfo(np.float64).tiny * scale)
+
+
 def _ingest(vs) -> tuple[np.ndarray, np.ndarray]:
     """Drop (near-)zero vectors and exact duplicates, keeping lowest labels."""
     v = as_vector_set(vs)
     if len(v) == 0:
         raise ValueError("empty vector set")
     x = v.vectors
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    max_norm = float(norms.max())
-    if max_norm == 0.0:
+    keep = _nonzero_rows(x)
+    if not keep.any():
         raise ValueError("vector set is all zeros")
-    keep = norms > ZERO_NORM_REL * max_norm
     seen: dict[bytes, int] = {}
     positions: list[int] = []
     for i in np.flatnonzero(keep):
@@ -133,7 +145,7 @@ def _coverage_screen(x: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
     resid = coeffs @ u - x
     x_norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     r_norms = np.sqrt(np.einsum("ij,ij->i", resid, resid))
-    in_span = r_norms <= SPAN_RESIDUAL_REL * np.maximum(x_norms, 1e-300)
+    in_span = r_norms <= SPAN_RESIDUAL_REL * x_norms
     l1 = np.sum(np.abs(coeffs), axis=1)
     return in_span & (l1 <= math.sqrt(alpha) * (1.0 - SCREEN_SLACK))
 
@@ -144,54 +156,33 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None,
 
     Scans the input from index 0, adds argmax_u <u, x>^2 for the witness
     direction x of the first uncovered vector, and rescans until every vector
-    is covered.  Coverage is monotone in U, so verdicts are cached; a cheap
-    dual-feasibility screen certifies most covered vectors without an LP.
+    is covered.  Coverage is monotone in U, so a covered vector stays covered;
+    a cheap dual-feasibility screen certifies most covered vectors without an
+    LP.  The rows are scaled by one power of two (linalg.unit_scale), which
+    is exact and leaves every pick; the witnesses are scaled back.
     """
     if not 1.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 1")
     x, labels = _ingest(vs)
     n, d = x.shape
+    scale = linalg.unit_scale(x)
+    xs = scale * x
     covered = np.zeros(n, dtype=bool)
     picks: list[int] = []
     wits: list[np.ndarray] = []
-    # witness cache: position -> (x direction, margin, #picks checked against)
-    cache: dict[int, tuple[np.ndarray, float, int]] = {}
-
-    def check(i: int) -> DominationResult:
-        ent = cache.pop(i, None)
-        if ent is not None:
-            wx, margin, upto = ent
-            news = x[picks[upto:]]
-            if len(news) == 0 or float(np.max(np.abs(news @ wx))) <= margin:
-                cache[i] = (wx, margin, len(picks))
-                return DominationResult("witness", margin, wx)
-        res = domination_check(x[i], x[picks], alpha)
-        if not res.covered:
-            cache[i] = (res.witness, res.margin, len(picks))
-        return res
-
-    while True:
-        if max_size is not None and len(picks) >= max_size:
-            break
-        screen = _coverage_screen(x, x[picks], alpha)
-        covered |= screen
-        progressed = False
-        for i in range(n):
-            if covered[i]:
-                continue
-            res = check(i)
+    while max_size is None or len(picks) < max_size:
+        covered |= _coverage_screen(xs, xs[picks], alpha)
+        for i in np.flatnonzero(~covered):
+            res = domination_check(xs[i], xs[picks], alpha)
             if res.covered:
                 covered[i] = True
                 continue
-            wx = res.witness
-            j = int(np.argmax((x @ wx) ** 2))
+            j = int(np.argmax((xs @ res.witness) ** 2))
             picks.append(j)
-            wits.append(wx)
+            wits.append(scale * res.witness)
             covered[j] = True  # a member of U always has t* >= 1 >= 1/sqrt(alpha)
-            cache.pop(j, None)
-            progressed = True
             break
-        if not progressed:
+        else:
             break
 
     chosen = [int(labels[j]) for j in picks]
@@ -247,17 +238,11 @@ def verify_weak(vs, sp, alpha: float) -> tuple[bool, tuple[int, np.ndarray] | No
     v = as_vector_set(vs)
     u = sp.vectors if isinstance(sp, Spanner) else as_matrix(sp)
     x = v.vectors
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    max_norm = float(norms.max()) if len(x) else 0.0
-    nontrivial = norms > ZERO_NORM_REL * max_norm
-    frame = _span_frame(u)
+    coefficients = _certifier(u)
     limit = 1.0 / cover_threshold(alpha)
-    members = {row.tobytes() for row in u}
-    for i in np.flatnonzero(nontrivial):
-        if x[i].tobytes() in members:  # a member of U has t* >= 1
-            continue
+    for i in np.flatnonzero(_nonzero_rows(x)):
         try:
-            if float(np.sum(np.abs(_l1_coefficients(x[i], *frame)))) <= limit:
+            if float(np.sum(coefficients(x[i]))) <= limit:
                 continue
         except NotInSpan:
             pass
@@ -273,16 +258,45 @@ def _span_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return basis, u @ basis.T
 
 
-def _l1_coefficients(v: np.ndarray, basis: np.ndarray, ut: np.ndarray) -> np.ndarray:
-    """Minimum-l1 c with U^T c = v, solved in the frame where U has full rank."""
-    vt = basis @ v
-    resid = v - basis.T @ vt
-    if linalg.vec_norm(resid) > NOT_IN_SPAN_REL * max(linalg.vec_norm(v), 1e-300):
-        raise NotInSpan("vector has a component outside span(U)")
-    try:
-        return l1_representation(ut, vt)
-    except Infeasible as exc:
-        raise NotInSpan("no representation of the vector over U") from exc
+def _certifier(u: np.ndarray):
+    """|c| of the minimum-l1 representation U^T c = v, for any v.
+
+    U's span frame and its exact-member map are computed once.  An exact
+    member of U gets a point mass on its first copy; anything else gets the
+    l1 LP in the frame, where U has full rank.  Raises NotInSpan.
+    """
+    basis, ut = _span_frame(u)
+    first: dict[bytes, int] = {}
+    for j, row in enumerate(u + 0.0):  # + 0.0 makes -0.0 and 0.0 one key
+        first.setdefault(row.tobytes(), j)
+
+    def coefficients(v: np.ndarray) -> np.ndarray:
+        c = np.zeros(len(u))
+        j = first.get((v + 0.0).tobytes())
+        if j is not None:
+            c[j] = 1.0
+            return c
+        vt = basis @ v
+        scale = linalg.unit_scale(v)  # the residual test is scale-free
+        resid = scale * (v - basis.T @ vt)
+        if linalg.vec_norm(resid) > NOT_IN_SPAN_REL * linalg.vec_norm(scale * v):
+            raise NotInSpan("vector has a component outside span(U)")
+        try:
+            return np.abs(l1_representation(ut, vt))
+        except Infeasible as exc:
+            raise NotInSpan("no representation of the vector over U") from exc
+    return coefficients
+
+
+def _certificate(c: np.ndarray, alpha: float, vector_index: int = -1,
+                 labels=None) -> CoverageCertificate:
+    """The certificate p_j = c_j / ||c||_1 of the coefficient magnitudes c."""
+    labels = range(len(c)) if labels is None else labels
+    l1 = float(np.sum(c))
+    delta = min(1.0, 1.0 / l1 ** 2)
+    support = [(labels[j], float(c[j] / l1)) for j in np.flatnonzero(c)]
+    return CoverageCertificate(vector_index, support, delta,
+                               "pass" if delta >= 1.0 / alpha - CERT_SLACK else "fail")
 
 
 def strong_certificate(v, spanner_vectors, alpha: float,
@@ -293,40 +307,27 @@ def strong_certificate(v, spanner_vectors, alpha: float,
     By Elfving's theorem, min_mu v^T M(mu)^+ v = ||c||_1^2 for the minimum-l1
     representation U^T c = v, attained at p_j = |c_j| / ||c||_1; for that p
     Cauchy-Schwarz gives delta = 1/||c||_1^2 (capped at 1).  The support
-    lists the spanner vectors with p_j > 0.  Status is "pass" when
-    delta >= 1/alpha - CERT_SLACK and "fail" otherwise.
+    lists the spanner vectors with p_j > 0; an exact member of U gets a point
+    mass on its first copy, and v = 0 the uniform distribution.  Status is
+    "pass" when delta >= 1/alpha - CERT_SLACK and "fail" otherwise.
     """
     u = as_matrix(spanner_vectors)
     if len(u) == 0:
         raise NotInSpan("empty spanner cannot certify anything")
     v = np.asarray(v, dtype=np.float64)
-    if labels is None:
-        labels = list(range(len(u)))
-    nrm = linalg.vec_norm(v)
-    if nrm <= 1e-300:
+    if not np.any(v):
         p = np.full(len(u), 1.0 / len(u))
-        return CoverageCertificate(vector_index,
-                                   list(zip(labels, p.tolist())), 1.0, "pass")
-    for j in range(len(u)):  # exact member: point mass certifies delta = 1
-        if np.array_equal(u[j], v):
-            support = [(labels[j], 1.0)]
-            return CoverageCertificate(vector_index, support, 1.0, "pass")
-
-    c = np.abs(_l1_coefficients(v, *_span_frame(u)))
-    l1 = float(np.sum(c))
-    delta = min(1.0, 1.0 / l1 ** 2)
-    support = [(labels[j], float(c[j] / l1)) for j in np.flatnonzero(c)]
-    return CoverageCertificate(vector_index, support, delta,
-                               "pass" if delta >= 1.0 / alpha - CERT_SLACK else "fail")
+        labels = range(len(u)) if labels is None else labels
+        return CoverageCertificate(vector_index, list(zip(labels, p.tolist())), 1.0, "pass")
+    return _certificate(_certifier(u)(v), alpha, vector_index, labels)
 
 
 def certify_all(vs, sp: Spanner, alpha: float) -> list[CoverageCertificate]:
+    """strong_certificate over the spanner of every row the build keeps."""
     v = as_vector_set(vs)
-    return [
-        strong_certificate(v.vectors[i], sp.vectors, alpha,
-                           vector_index=int(v.labels[i]), labels=sp.indices)
-        for i in range(len(v))
-    ]
+    coefficients = _certifier(sp.vectors)
+    return [_certificate(coefficients(v.vectors[i]), alpha, int(v.labels[i]), sp.indices)
+            for i in np.flatnonzero(_nonzero_rows(v.vectors))]
 
 
 def volume_greedy(vs, m: int, params: SpannerParams | None = None) -> Spanner:
@@ -338,11 +339,10 @@ def volume_greedy(vs, m: int, params: SpannerParams | None = None) -> Spanner:
     if m < 1:
         raise ValueError("m must be >= 1")
     v = as_vector_set(vs)
-    x = v.vectors.copy()
-    n, d = x.shape
-    norms0 = np.sqrt(np.einsum("ij,ij->i", x, x))
+    resid = linalg.unit_scale(v.vectors) * v.vectors  # exact; keeps every pick
+    n, d = resid.shape
+    norms0 = np.sqrt(np.einsum("ij,ij->i", resid, resid))
     max_norm = float(norms0.max()) if n else 0.0
-    resid = x.copy()
     picks: list[int] = []
     for _ in range(min(m, n)):
         rn = np.sqrt(np.einsum("ij,ij->i", resid, resid))
@@ -455,59 +455,41 @@ def verify_k_spanner(vs, sp: Spanner, k: int, alpha: float,
     The distribution mirrors the construction: a uniform part over the
     volume-greedy picks handles the component orthogonal to their span, a
     domination certificate in the projected frame handles the rest, and the
-    two are mixed with the constants the chain of inequalities dictates.
+    two are mixed with the constants the chain of inequalities dictates.  A
+    plain d-spanner has no volume stage: its frame is the identity and the
+    uniform part has weight 0.  Every vector is scaled by the input's
+    linalg.unit_scale first: the slack of preceq_k is not scale-covariant.
     """
     v = as_vector_set(vs)
     d = v.dim
-    vol_pos = [i for i, t in enumerate(sp.stage_tags) if t == STAGE_VOLUME]
-    dsp_vecs = sp.dspanner_vectors
+    scale = linalg.unit_scale(v.vectors)
+    u0 = scale * sp.vectors[[t == STAGE_VOLUME for t in sp.stage_tags]]
+    dsp_vecs = scale * sp.dspanner_vectors
+    m = len(u0)
+    if m:
+        basis = linalg.gram_schmidt(u0)
+        gamma = 2.0 * m ** (2.0 * k / m)
+        mean_u0 = u0.T @ u0 / m
+    else:
+        basis, gamma, mean_u0 = np.eye(d), 0.0, np.zeros((d, d))
+    coefficients = _certifier(dsp_vecs @ basis.T)
 
-    if not vol_pos:  # degenerate build: certificates alone settle it
-        for i in range(len(v)):
-            vec = v.vectors[i]
-            if linalg.vec_norm(vec) <= 1e-300:
-                continue
-            try:
-                cert = strong_certificate(vec, sp.vectors, alpha)
-            except NotInSpan:
-                return False
-            mix = np.zeros((d, d))
-            for pos, prob in cert.support:  # default labels are positions
-                mix += prob * np.outer(sp.vectors[pos], sp.vectors[pos])
-            if not linalg.preceq_k(np.outer(vec, vec), alpha * mix, k, tol):
-                return False
-        return True
-
-    u0 = sp.vectors[vol_pos]
-    m = len(vol_pos)
-    basis = linalg.gram_schmidt(u0)
-    gamma = 2.0 * m ** (2.0 * k / m)
-    mean_u0 = u0.T @ u0 / m
-    if len(dsp_vecs) == 0:
-        return False
-    w_proj = dsp_vecs @ basis.T
-
-    for i in range(len(v)):
-        vec = v.vectors[i]
-        nrm = linalg.vec_norm(vec)
-        if nrm <= 1e-300:
-            continue
+    for i in np.flatnonzero(_nonzero_rows(v.vectors)):
+        vec = scale * v.vectors[i]
         vpar_t = basis @ vec
-        if linalg.vec_norm(vpar_t) <= 1e-12 * nrm:
+        if linalg.vec_norm(vpar_t) <= 1e-12 * linalg.vec_norm(vec):
             mix = mean_u0
         else:
             try:
-                cert = strong_certificate(vpar_t, w_proj, alpha)
+                cert = _certificate(coefficients(vpar_t), alpha)
             except NotInSpan:
                 return False
             delta = max(cert.delta, 1e-12)
-            e_nu = np.zeros((d, d))
-            for pos, prob in cert.support:  # default labels are positions
-                e_nu += prob * np.outer(dsp_vecs[pos], dsp_vecs[pos])
+            e_nu = sum(prob * np.outer(dsp_vecs[pos], dsp_vecs[pos])
+                       for pos, prob in cert.support)
             c1 = 2.0 * gamma * (1.0 + 2.0 / delta)
             c2 = 4.0 / delta
-            total = c1 + c2
-            mix = (c1 * mean_u0 + c2 * e_nu) / total
+            mix = (c1 * mean_u0 + c2 * e_nu) / (c1 + c2)
         if not linalg.preceq_k(np.outer(vec, vec), alpha * mix, k, tol):
             return False
     return True

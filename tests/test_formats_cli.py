@@ -1,8 +1,10 @@
 """File formats and the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,14 @@ from specspan import cli
 from specspan.formats import (FormatError, read_vector_file, report_json,
                               write_vector_file)
 from specspan.vectorset import VectorSet
+
+
+def checkout_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def strip_timings(text: str) -> dict:
@@ -141,6 +151,31 @@ class TestCli:
         code, out, _ = run_cli(["spanner", "--input", str(data)], capsys)
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("verify", ["weak", "strong", "k"])
+    @pytest.mark.parametrize("rows, size", [("1,0\n0,1e-13\n", 1),
+                                            ("1e170,0\n0,1e170\n1e170,1e170\n", 2)],
+                             ids=["tiny-row", "huge-rows"])
+    def test_spanner_verdicts_agree_at_any_scale(self, tmp_path, capsys, rows,
+                                                 size, verify):
+        # The 1e-13 row is zero to the build; --verify strong once raised
+        # NotInSpan on it (exit 1) and --verify k failed it (exit 4).  At 1e170
+        # the squared norms overflowed and the spanner came out empty.
+        data = tmp_path / "v.csv"
+        data.write_text(rows)
+        code, out, _ = run_cli(["spanner", "--input", str(data),
+                                "--verify", verify], capsys)
+        assert code == 0
+        assert json.loads(out) == {"size": size, "verdict": "pass"}
+
+    def test_spanner_on_subnormal_rows_exit_2(self, tmp_path, capsys):
+        # a witness x with <x, v> = 1 for |v| ~ 1e-320 would overflow
+        data = tmp_path / "v.csv"
+        data.write_text("1e-320,0\n0,1e-320\n")
+        code, out, err = run_cli(["spanner", "--input", str(data),
+                                  "--verify", "weak"], capsys)
+        assert code == 2 and out == ""
+        assert "all zeros" in err
 
     def test_spanner_rejects_alpha_below_one(self, tmp_path, capsys):
         data = tmp_path / "s.csv"
@@ -292,12 +327,12 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "specspan.cli", "gen", "sphere", "--d", "2",
              "--n", "3", "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=checkout_env())
         assert proc.returncode == 0
         assert out.exists()
 
     def test_bad_flags_exit_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "specspan.cli", "spanner"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=checkout_env())
         assert proc.returncode == 2

@@ -201,6 +201,32 @@ class TestGramSchmidt:
             proj = basis.T @ (basis @ row)
             assert np.allclose(proj, row, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+    def test_scale_free(self, rng, scale):
+        # the row norms once underflowed below about 1e-154 (and overflowed
+        # above 1e154), and the basis came out empty
+        x = rng.standard_normal((4, 6))
+        assert np.allclose(linalg.gram_schmidt(scale * x), linalg.gram_schmidt(x),
+                           rtol=0.0, atol=1e-12)
+
+
+class TestUnitScale:
+    def test_largest_row_near_unit_norm(self, rng):
+        for _ in range(50):
+            x = rng.standard_normal((int(rng.integers(1, 5)), 4))
+            x *= 10.0 ** rng.uniform(-300, 300, size=(len(x), 1))
+            for a in (x, x[0]):  # a matrix, and a vector
+                s = linalg.unit_scale(a)
+                assert math.frexp(s)[0] == 0.5  # a power of two
+                top = float(np.max(np.linalg.norm(np.atleast_2d(s * a), axis=1)))
+                assert 2.0 ** -0.5 <= top <= 2.0 ** 0.5
+
+    def test_edge_inputs(self):
+        assert linalg.unit_scale(np.eye(3)) == 1.0
+        assert linalg.unit_scale(np.zeros((2, 3))) == 1.0
+        # a subnormal input gets the largest factor, not an OverflowError
+        assert linalg.unit_scale(np.array([5e-324, 0.0])) == 2.0 ** 1023
+
 
 class TestCholeskyHelpers:
     def test_det_gram_matches_numpy(self, rng):

@@ -239,10 +239,14 @@ class TestNumericalRegressions:
         assert len(set(labels)) == len(labels) == rep.union_size == sum(rep.coreset_sizes)
         assert rep.guarantee <= rep.ratio <= 1.0 + 1e-9
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e-13, 1e-12, 1e-9, 1e6, 1e9, 1e150])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-150, 1e-13, 1e-12, 1e-9,
+                                       1e6, 1e9, 1e150, 1e170, 1e300])
     def test_uniform_scale_keeps_picks(self, unit_build, scale):
         # Once: ZeroVector at scale <= 1e-12, Unbounded at 1e-9, other picks at
         # 1e6 and above.  The LPs now see v and U at |v| ~ 1 whatever the scale.
+        # Squared row norms once underflowed below 1e-154 ("vector set is all
+        # zeros") and overflowed above 1e154 (an empty spanner); the build now
+        # scales its rows by a power of two first.
         x, picks = unit_build
         sp = build_d_spanner(VectorSet(scale * x), 4.0)
         assert sp.indices == picks

@@ -1,5 +1,6 @@
 """Spanner construction, verification, and certificate behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,23 @@ ENTRY = st.floats(-2.0, 2.0).filter(lambda t: t == 0.0 or abs(t) >= 1e-3)
 
 def default_alpha(d: int) -> float:
     return d * (1.0 + math.log(d)) ** 2
+
+
+def k_order_by_certificates(x, sp, k: int, alpha: float, tol: float = 1e-7) -> bool:
+    """vv^T <=_k alpha * E_mu[uu^T] over a plain d-spanner, mu each row's
+    certificate, with the eigenvalue tail from numpy.linalg.eigvalsh."""
+    d = x.shape[1]
+    for v in x:
+        try:
+            cert = strong_certificate(v, sp.vectors, alpha)
+        except NotInSpan:
+            return False
+        mix = sum(p * np.outer(sp.vectors[j], sp.vectors[j]) for j, p in cert.support)
+        a, b = np.outer(v, v), alpha * mix
+        tail = float(np.sum(np.linalg.eigvalsh(b - a)[:d - k + 1]))
+        if tail < -tol * (1.0 + np.linalg.norm(a) + np.linalg.norm(b)):
+            return False
+    return True
 
 
 class TestBuildDSpanner:
@@ -192,6 +210,20 @@ class TestVerifyWeak:
         ok, _ = verify_weak(vs, np.array([E1, E2]), 4.0)
         assert ok
 
+    def test_partial_spanner_fails_at_any_scale(self):
+        # a spanner of the first 100 of 200 rows; at 1e-170 the squared norms
+        # once underflowed, every row counted as zero and both checks passed
+        x = unit_rows(np.random.default_rng(3), 200, 8)
+        sp = build_d_spanner(VectorSet(x[:100]), 4.0)
+        for scale in (1.0, 1e-170):
+            vs = VectorSet(scale * x)
+            scaled = dataclasses.replace(sp, vectors=scale * sp.vectors)
+            ok, (label, w) = verify_weak(vs, scaled, 4.0)
+            assert not ok
+            top = float(np.max((scaled.vectors @ w) ** 2))
+            assert float(w @ vs.vectors[label]) ** 2 > 4.0 * top
+            assert not all(c.passes(4.0) for c in certify_all(vs, scaled, 4.0))
+
     def test_composability_union_of_spanners(self, rng):
         # union of per-half spanners weakly covers the whole input
         x = unit_rows(rng, 200, 5)
@@ -220,6 +252,15 @@ class TestStrongCertificate:
         with pytest.raises(NotInSpan):
             strong_certificate(np.array([0.0, 0.0, 1.0]),
                                np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 4.0)
+
+    @pytest.mark.parametrize("v, u", [([1e-170, 0.0], [[0.0, 1.0]]),
+                                      ([1e-301, 0.0], [[0.0, 1e-301]])],
+                             ids=["1e-170", "1e-301"])
+    def test_tiny_out_of_span_raises(self, v, u):
+        # both once passed with delta = 1: any |v| <= 1e-300 counted as zero,
+        # and the squared residual of 1e-170 underflowed
+        with pytest.raises(NotInSpan):
+            strong_certificate(np.array(v), np.array(u), 4.0)
 
     def test_all_ones_over_axes_fails_at_four(self):
         # the minimum-l1 representation of E1+E2+E3 over the axes is (1,1,1):
@@ -274,6 +315,28 @@ class TestStrongCertificate:
         certs = certify_all(VectorSet(x), sp, alpha)
         assert all(c.passes(alpha) for c in certs)
         assert all(c.status == "pass" for c in certs)
+
+    def test_certify_all_is_one_certificate_per_row(self):
+        # certify_all computes one span frame for every row; each row gets the
+        # certificate of its own strong_certificate call, and a member of U
+        # listed twice gets a point mass on its first copy
+        x = unit_rows(np.random.default_rng(4), 80, 6)
+        alpha = default_alpha(6)
+        sp = build_d_spanner(VectorSet(x), alpha)
+        sp = dataclasses.replace(sp, vectors=np.vstack([sp.vectors, sp.vectors[2]]),
+                                 indices=sp.indices + [-1])
+        certs = certify_all(VectorSet(x), sp, alpha)
+        assert certs == [strong_certificate(v, sp.vectors, alpha, vector_index=i,
+                                            labels=sp.indices)
+                         for i, v in enumerate(x)]
+        assert certs[sp.indices[2]].support == [(sp.indices[2], 1.0)]
+        for cert in certs:
+            lbls = [lbl for lbl, _ in cert.support]
+            p = np.array([prob for _, prob in cert.support])
+            assert -1 not in lbls and float(np.sum(p)) == pytest.approx(1.0)
+            v = x[cert.vector_index]
+            quad = float(v @ np.linalg.pinv((x[lbls].T * p) @ x[lbls]) @ v)
+            assert cert.delta * quad <= 1.0 + 1e-9
 
     def test_certificate_is_feasible_distribution(self, rng):
         x = unit_rows(rng, 30, 3)
@@ -362,6 +425,16 @@ class TestBuildKSpanner:
         assert len(sp.dspanner_vectors) > 0
         assert sp.params.resolve_m(2, 16) == 12
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_uniform_scale_keeps_picks(self, scale):
+        # the volume stage's squared norms once under- or overflowed, and the
+        # build raised "vector set is all zeros"
+        x = unit_rows(np.random.default_rng(3), 100, 16)
+        ref = build_k_spanner(VectorSet(x), 2)
+        sp = build_k_spanner(VectorSet(scale * x), 2)
+        assert sp.indices == ref.indices
+        assert verify_k_spanner(VectorSet(scale * x), sp, 2, sp.alpha)
+
     def test_m_override(self, rng):
         x = unit_rows(rng, 100, 10)
         sp = build_k_spanner(VectorSet(x), 2, SpannerParams(k=2, m_override=7))
@@ -380,6 +453,16 @@ class TestVerifyKSpanner:
         vs = VectorSet(np.array([[1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
         sp = build_k_spanner(vs, 2)
         assert verify_k_spanner(vs, sp, 2, 32.0)
+
+    @pytest.mark.parametrize("d, k, alpha, verdict", [
+        (4, 2, 1.0 + 1e-9, False), (4, 2, 4.0, True), (4, 4, 4.0, False),
+        (6, 1, 1.0 + 1e-9, True), (6, 3, 4.0, True), (6, 6, 10.0, False),
+        (6, 6, 40.0, True)])
+    def test_plain_d_spanner_matches_certificate_mixture(self, d, k, alpha, verdict):
+        x = unit_rows(np.random.default_rng(d + k), 60, d)
+        sp = build_d_spanner(VectorSet(x), default_alpha(d))
+        assert k_order_by_certificates(x, sp, k, alpha) == verdict
+        assert verify_k_spanner(VectorSet(x), sp, k, alpha) == verdict
 
     def test_fails_at_tiny_alpha(self, rng):
         x = unit_rows(rng, 50, 6)
