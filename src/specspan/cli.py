@@ -73,7 +73,7 @@ def _cmd_spanner(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     k = args.k if args.k is not None else vs.dim
-    params = SpannerParams(k=k, alpha=args.alpha, alpha_scale=args.alpha_scale)
+    params = SpannerParams(alpha=args.alpha, alpha_scale=args.alpha_scale)
     t0 = time.perf_counter()
     try:
         sp = build_k_spanner(vs, k, params=params)
@@ -157,7 +157,7 @@ def _cmd_pipeline(args) -> int:
     except (BadPartColumn, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    params = SpannerParams(k=args.k, alpha=args.alpha, alpha_scale=args.alpha_scale)
+    params = SpannerParams(alpha=args.alpha, alpha_scale=args.alpha_scale)
     try:
         report = run_pipeline(pinput, args.k, params=params, solver=Solver(args.solver),
                               seed=args.seed, trials=args.trials)

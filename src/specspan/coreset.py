@@ -160,7 +160,7 @@ def compose(pinput: PartitionedInput, k: int,
     The composed core-set is only as good as its weakest part, so the alpha
     reported is the largest one a non-empty part was built with.
     """
-    params = params or SpannerParams(k=k)
+    params = params or SpannerParams()
     full = pinput.union
     if k > full.dim:
         raise ValueError(f"k={k} exceeds dimension {full.dim}")
@@ -188,11 +188,10 @@ def compose(pinput: PartitionedInput, k: int,
 def run_pipeline(pinput: PartitionedInput, k: int,
                  params: SpannerParams | None = None,
                  solver: Solver = Solver.GREEDY_LOCAL,
-                 seed: int = 0, trials: int = 1000,
-                 coreset_cap: int | None = None) -> PipelineReport:
+                 seed: int = 0, trials: int = 1000) -> PipelineReport:
     """compose(), then the same solver on the full data as the reference."""
     t0 = time.perf_counter()
-    comp = compose(pinput, k, params, solver, seed, trials, max_size=coreset_cap)
+    comp = compose(pinput, k, params, solver, seed, trials)
     full = pinput.union
     t_ref0 = time.perf_counter()
     ref = solve(full, k, solver, trials,

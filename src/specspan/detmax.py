@@ -5,9 +5,10 @@ log-det Frank-Wolfe relaxation for the full-rank case, randomized rounding of
 fractional solutions, and the D/E/A design objectives with their shared
 1/t scaling law.
 
-Enumeration, rounding trials and swap candidates are all scored the same way:
-CHUNK index sets at a time, by one stacked Cholesky of their Gram matrices.
-Design iterates are scored DESIGN_BLOCK at a time by one stacked Jacobi.
+Every subset value comes from one scorer: CHUNK index sets at a time, by one
+stacked Cholesky of their Gram matrices.  Both relaxations run one
+Frank-Wolfe loop that steers by each iterate's Cholesky factor; design
+iterates are scored DESIGN_BLOCK at a time by one stacked Jacobi.
 """
 
 from __future__ import annotations
@@ -77,14 +78,9 @@ class DesignObjective(Enum):
     A = "A"   # tr(A^{-1})/d
 
 
-def gram_of(x: np.ndarray, indices) -> np.ndarray:
-    sub = x[list(indices)]
-    return sub @ sub.T
-
-
 def subset_value(x: np.ndarray, indices) -> float:
-    """det_k of the Gram sum of the chosen vectors (= det of their Gram)."""
-    return linalg.det_gram(gram_of(x, indices))
+    """det of the Gram of the chosen rows of x: _set_values on one set."""
+    return float(_set_values(x, np.array([indices], dtype=np.int64))[0])
 
 
 def _set_values(x: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -176,7 +172,7 @@ def greedy_local_search(vs, k: int, max_rounds: int = 50) -> Solution:
                 break
     order = sorted(current)
     labels = tuple(int(v.labels[i]) for i in order)
-    return Solution(labels, linalg.det_k(gram_of(x, order), min(k, len(order))))
+    return Solution(labels, subset_value(x, order))
 
 
 def fractional_detmax(vs, k: int | None = None,
@@ -202,24 +198,13 @@ def fractional_detmax(vs, k: int | None = None,
     for lbl in seed.indices:
         s[label_pos[lbl]] += d / k  # = 1 for k = d
     eps = EPS_RIDGE_REL * float(np.max(np.einsum("ij,ij->i", x, x)))
-    a = (x.T * s) @ x + eps * np.eye(d)
-    low = linalg.cholesky_spd(a)  # one factor per iterate: its log-det, then its inverse
-    logdet = linalg.logdet_spd(low)
-    best_s, best_logdet = s.copy(), logdet
-    for t in range(1, iters + 1):
-        ainv = linalg.inv_spd(a, low)
-        scores = np.einsum("ij,ij->i", x @ ainv, x)
-        q = int(np.argmax(scores))
-        gamma = 2.0 / (t + 2.0)
-        s *= 1.0 - gamma
-        s[q] += gamma * d
-        a = (1.0 - gamma) * a + (gamma * d) * np.outer(x[q], x[q]) \
-            + (gamma * eps) * np.eye(d)
-        low = linalg.cholesky_spd(a)
+    steps = _frank_wolfe(x, s, d, iters, DesignObjective.D, ridge=eps)
+    best_s, low = next(steps)
+    best_logdet = logdet = linalg.logdet_spd(low)
+    for s, low in steps:
         new_logdet = linalg.logdet_spd(low)
         if new_logdet > best_logdet:
-            best_logdet = new_logdet
-            best_s = s.copy()
+            best_s, best_logdet = s, new_logdet
         if abs(new_logdet - logdet) < FW_DETMAX_REL * max(abs(logdet), 1e-300):
             break
         logdet = new_logdet
@@ -318,51 +303,54 @@ def eval_design(vs, obj: DesignObjective, weights=None,
     return vals if eigenvalues.ndim == 2 else float(vals[0])
 
 
-def _design_iterates(x: np.ndarray, obj: DesignObjective, budget: float, iters: int):
-    """The Frank-Wolfe weights of fractional_design: the uniform start, then
-    one per step."""
-    n = x.shape[0]
-    s = np.full(n, budget / n)
-    a = (x.T * s) @ x
-    yield s.copy()
-    for t in range(1, iters + 1):
+def _frank_wolfe(x: np.ndarray, s: np.ndarray, budget: float, iters: int,
+                 obj: DesignObjective, ridge: float = 0.0):
+    """Frank-Wolfe on A = sum s_v vv^T + ridge I, sum s = budget, step 2/(t+2):
+    yields (weights, Cholesky factor L of A) for the start `s` and after each
+    of `iters` steps, with fresh weights each step.  The vertex scores are
+    D ||L^-1 v||^2 = v^T A^-1 v, A ||L^-T L^-1 v||^2 = v^T A^-2 v, and
+    E <v, w>^2 with w the minimum eigenvector; E steps need no factor, so
+    they yield None for it."""
+    ridge_eye = ridge * np.eye(x.shape[1])
+    a = (x.T * s) @ x + ridge_eye
+    for t in range(1, iters + 2):
+        low = None if obj is DesignObjective.E else linalg.cholesky_spd(a)
+        yield s, low
+        if t > iters:
+            return
         if obj is DesignObjective.E:
-            eig = linalg.sym_eig(a)
-            wmin = eig.eigenvectors[:, -1]
-            scores = (x @ wmin) ** 2
+            scores = (x @ linalg.sym_eig(a).eigenvectors[:, -1]) ** 2
+        elif low is None:
+            raise ValueError("matrix is not positive definite")
         else:
-            ainv = linalg.inv_spd(a)
-            xa = x @ ainv
-            if obj is DesignObjective.D:
-                scores = np.einsum("ij,ij->i", xa, x)
-            else:
-                scores = np.einsum("ij,ij->i", xa, xa)
+            y = linalg.solve_lower(low, x.T)
+            if obj is DesignObjective.A:
+                y = linalg.solve_upper(low, y)
+            scores = np.einsum("ij,ij->j", y, y)
         q = int(np.argmax(scores))
         gamma = 2.0 / (t + 2.0)
-        s *= 1.0 - gamma
+        s = s * (1.0 - gamma)
         s[q] += gamma * budget
-        a = (1.0 - gamma) * a + (gamma * budget) * np.outer(x[q], x[q])
-        yield s.copy()
+        a = (1.0 - gamma) * a + (gamma * budget) * np.outer(x[q], x[q]) + gamma * ridge_eye
 
 
 def fractional_design(vs, obj: DesignObjective, budget: float,
                       iters: int = FW_DESIGN_ITERS) -> FractionalSolution:
     """Frank-Wolfe on the budgeted mass-allocation problem for a regular f.
 
-    Linearization scores: D uses v^T A^{-1} v, A uses v^T A^{-2} v, E uses
-    <v, w>^2 with w the minimum eigenvector (a subgradient; no optimality
-    claim).  Returns the best iterate encountered, the first one on ties.
+    _frank_wolfe from the uniform start (E's score is a subgradient; no
+    optimality claim).  Returns the best iterate, the first one on ties.
     Iterates are scored DESIGN_BLOCK at a time by one stacked eval_design,
     so beyond the vectors memory is one block whatever `iters` is.
     """
     v = as_vector_set(vs)
     x = v.vectors
-    d = x.shape[1]
+    n, d = x.shape
     if not (math.isfinite(budget) and budget > 0):
         raise ValueError(f"budget must be positive and finite (got {budget})")
     if linalg.gram_schmidt(x).shape[0] < d:
         raise Degenerate(f"rank(V) < d = {d}")
-    iterates = _design_iterates(x, obj, budget, iters)
+    iterates = (s for s, _ in _frank_wolfe(x, np.full(n, budget / n), budget, iters, obj))
     best_s, best_f = None, math.inf
     while (block := np.array(list(islice(iterates, DESIGN_BLOCK)))).size:
         f = eval_design(v, obj, weights=block)

@@ -5,8 +5,9 @@ rotation at a time), the exact power-of-two scale that brings a vector or a
 matrix's largest row near unit norm, Gram-Schmidt, orthogonal projection, the
 elementary-symmetric determinant det_k, the eigenvalue-tail order check
 between symmetric matrices, and a Cholesky factor (of one matrix, or of a
-whole stack one column step at a time) with solves and Gram determinants for
-positive-definite systems; a stack member gets the bits of its lone call.
+whole stack one column step at a time) with forward and back substitution,
+solves, log-dets and Gram determinants for positive-definite systems; a
+stack member gets the bits of its lone call.
 Factorization algorithms are implemented here directly on float64 arrays;
 numpy supplies array arithmetic only.
 
@@ -25,6 +26,7 @@ EIG_SWEEP_CAP = 100       # sweep limit; breaching it is an internal failure
 PSD_CLAMP_REL = 1e-8      # eigenvalue clamp window for nominally-PSD input
 GS_DROP_REL = 1e-10       # Gram-Schmidt drop rule vs max input norm
 DEFAULT_ORDER_TOL = 1e-9  # default slack for preceq_k
+CHOL_PIVOT_REL = 1e-13    # Cholesky fails at a pivot at or below this x its own diagonal
 
 
 def as_vector(v) -> np.ndarray:
@@ -279,14 +281,15 @@ def gram_schmidt(vs) -> np.ndarray:
 
 # -- Cholesky helpers (internal fast paths; PSD input assumed) --------------
 
-def cholesky_spd(a, rel_tol: float = 1e-13) -> np.ndarray | None:
+def cholesky_spd(a) -> np.ndarray | None:
     """Lower Cholesky factor of a positive-definite matrix, or of each matrix
     of a stack (b, k, k), one column step at a time across the stack.
 
-    A matrix fails when a pivot falls at or below rel_tol * its max diagonal,
-    which doubles as a singular/indefinite detector for Gram matrices: a lone
-    matrix then gives None, a member of a stack an all-zero factor.  A lone
-    matrix runs the same steps and gets the bits it would get in any stack.
+    A matrix fails at a pivot at or below CHOL_PIVOT_REL * its own diagonal
+    entry (for a Gram, the squared sine of a row to the span of the rows
+    before it, so row scales do not matter): a lone matrix then gives None, a
+    member of a stack an all-zero factor.  A lone matrix runs the same steps
+    and gets the bits it would get in any stack.
     """
     m = np.asarray(a, dtype=np.float64)
     d = m.shape[-1]
@@ -300,8 +303,7 @@ def cholesky_spd(a, rel_tol: float = 1e-13) -> np.ndarray | None:
             if j + 1 < d:
                 low[..., j + 1:, j] = ((m[..., j + 1:, j] - (low[..., j + 1:, :j] @ row_t)[..., 0])
                                        / piv[..., None])
-    diag_max = np.diagonal(m, axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
-    ok = pivots.min(axis=-1, initial=np.inf) > rel_tol * diag_max
+    ok = np.all(pivots > CHOL_PIVOT_REL * np.diagonal(m, axis1=-2, axis2=-1), axis=-1)
     if m.ndim == 2:
         return low if ok else None
     low[~ok] = 0.0
@@ -310,33 +312,26 @@ def cholesky_spd(a, rel_tol: float = 1e-13) -> np.ndarray | None:
 
 def solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Forward substitution, L y = b (b may be a matrix)."""
-    d = low.shape[0]
     y = np.array(b, dtype=np.float64)
-    for i in range(d):
-        if i:
-            y[i] -= low[i, :i] @ y[:i]
-        y[i] /= low[i, i]
+    for i in range(low.shape[0]):  # the first row's empty dot is an exact 0
+        y[i] = (y[i] - low[i, :i] @ y[:i]) / low[i, i]
     return y
 
 
-def solve_spd(a, b, low: np.ndarray | None = None) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A with Cholesky factor `low`."""
-    if low is None:
-        low = cholesky_spd(a)
-    if low is None:
-        raise ValueError("matrix is not positive definite")
-    y = solve_lower(low, b)
-    d = low.shape[0]
-    x = y
-    for i in range(d - 1, -1, -1):
-        if i + 1 < d:
-            x[i] -= low[i + 1:, i] @ x[i + 1:]
-        x[i] /= low[i, i]
+def solve_upper(low: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Back substitution, L^T x = y (y may be a matrix)."""
+    x = np.array(y, dtype=np.float64)
+    for i in range(low.shape[0] - 1, -1, -1):
+        x[i] = (x[i] - low[i + 1:, i] @ x[i + 1:]) / low[i, i]
     return x
 
 
-def inv_spd(a, low: np.ndarray | None = None) -> np.ndarray:
-    return solve_spd(a, np.eye(np.asarray(a).shape[0]), low)
+def solve_spd(a, b) -> np.ndarray:
+    """Solve A x = b for symmetric positive definite A by its Cholesky factor."""
+    low = cholesky_spd(a)
+    if low is None:
+        raise ValueError("matrix is not positive definite")
+    return solve_upper(low, solve_lower(low, b))
 
 
 def det_gram(g) -> float | np.ndarray:

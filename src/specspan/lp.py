@@ -4,11 +4,12 @@ One kernel, `solve_lp`, runs a two-phase tableau simplex with Bland's
 anti-cycling rule on a standard-form LP (min c @ z with a @ z = b, z >= 0).
 Two LPs are built on it: the directional-domination check (min t with
 <x,v> = 1 and |<x,u>| <= t, x and t split into nonnegative parts) and its
-dual, the minimum-l1 representation of v over U, whose norm is 1/t*.  Both
-builders first scale v and U by the power of two that takes |v| nearest 1;
-the scaling is exact, so the kernel's absolute tolerances see the same
-problem at every input scale.  Sized for desk-scale problems (tens of
-variables and constraints), deterministic by construction.
+dual, the minimum-l1 representation of v over U, whose norm is 1/t*.  The
+domination check scales v and U by the power of two that takes |v| nearest
+1; the l1 LP scales U and v each by its own such power.  Scaling is exact,
+so the kernel's absolute tolerances see the same problem at every input
+scale.  Sized for desk-scale problems (tens of variables and constraints),
+deterministic by construction.
 """
 
 from __future__ import annotations
@@ -164,16 +165,18 @@ def l1_representation(u, v) -> np.ndarray:
     """Minimum-l1 coefficients: argmin ||c||_1 subject to u.T @ c == v.
 
     Solves min 1^T z over [u.T, -u.T] z = v, z >= 0 (len(v) equality rows,
-    2 len(u) columns) and returns c = z+ - z-.  Raises Infeasible when v is
-    outside span(u).
+    2 len(u) columns) and returns c = z+ - z-.  U and v are scaled by their
+    own powers of two, so neither reaches the tableau far from unit size; c
+    then scales back by their ratio.  Raises Infeasible when v is outside
+    span(u).
     """
     u = as_matrix(u)
     v = np.asarray(v, dtype=np.float64)
-    scale = linalg.unit_scale(v)
-    ut = scale * u.T
+    s_u, s_v = linalg.unit_scale(u), linalg.unit_scale(v)
+    ut = s_u * u.T
     m = u.shape[0]
-    z = solve_lp(np.hstack([ut, -ut]), scale * v, np.ones(2 * m), {})
-    return z[:m] - z[m:]
+    z = solve_lp(np.hstack([ut, -ut]), s_v * v, np.ones(2 * m), {})
+    return (z[:m] - z[m:]) * (s_u / s_v)
 
 
 @dataclass

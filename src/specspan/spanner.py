@@ -40,7 +40,6 @@ class NotInSpan(Exception):
 class SpannerParams:
     """Build parameters; alpha defaults to alpha_scale * dim * (1 + ln dim)^2."""
 
-    k: int | None = None
     alpha: float | None = None
     alpha_scale: float = 1.0
     m_override: int | None = None
@@ -191,7 +190,7 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None,
         vectors=x[picks].copy() if picks else np.zeros((0, d)),
         stage_tags=[STAGE_DSPANNER] * len(picks),
         witnesses=[w.copy() for w in wits],
-        params=params or SpannerParams(k=d, alpha=alpha),
+        params=params or SpannerParams(alpha=alpha),
         alpha=float(alpha),
         dspanner_vectors=x[picks].copy() if picks else np.zeros((0, d)),
         dspanner_witnesses=np.array(wits) if wits else np.zeros((0, d)),
@@ -378,7 +377,7 @@ def build_k_spanner(vs, k: int, params: SpannerParams | None = None,
     d = v.dim
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range for dimension {d}")
-    params = params or SpannerParams(k=k)
+    params = params or SpannerParams()
     m = params.resolve_m(k, d)
     if m <= 2 * k or m >= d:
         alpha = params.resolve_alpha(d)

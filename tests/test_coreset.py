@@ -153,7 +153,7 @@ class TestReportedAlpha:
         alphas = [build_k_spanner(vs.subset(np.arange(s, s + 60)), self.k).alpha
                   for s in (0, 60)]
         assert rep.config["alpha"] == max(alphas)
-        assert rep.config["alpha"] != SpannerParams(k=self.k).resolve_alpha(self.d)
+        assert rep.config["alpha"] != SpannerParams().resolve_alpha(self.d)
         assert rep.guarantee == pytest.approx((math.e * max(alphas)) ** -self.k)
 
 

@@ -107,6 +107,29 @@ class TestGreedyLocalSearch:
             assert greedy.value <= brute.value * (1.0 + 1e-9)
             assert greedy.value >= brute.value / math.factorial(3) - 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-5, 1e-6])
+    def test_never_beats_brute_force_near_singular(self, scale):
+        # greedy once valued its set by Jacobi det_k and brute force by stacked
+        # Cholesky: greedy beat the exact solver on about half of these inputs
+        for seed in range(40):
+            x = np.random.default_rng(seed).standard_normal((9, 5))
+            x[:, 4] *= scale
+            brute = brute_force_detmax(x, 5)
+            assert greedy_local_search(x, 5).value <= brute.value
+            best = max(np.linalg.det(x[list(c)]) ** 2 for c in combinations(range(9), 5))
+            assert brute.value == pytest.approx(best, rel=1e-2)
+
+    def test_same_set_same_bits_as_brute_force(self):
+        gen = np.random.default_rng(4)
+        same = 0
+        for _ in range(200):
+            x = gen.standard_normal((10, 4))
+            greedy, brute = greedy_local_search(x, 4), brute_force_detmax(x, 4)
+            if greedy.indices == brute.indices:
+                same += 1
+                assert greedy.value == brute.value
+        assert same >= 150
+
     def test_rank_deficient_padding(self, rng):
         x = np.vstack([np.eye(2), np.zeros((2, 2))])
         sol = greedy_local_search(VectorSet(x), 3)
@@ -224,6 +247,69 @@ class TestFractionalDetmax:
         x = rng.standard_normal((8, 3))
         frac = fractional_detmax(VectorSet(x))
         assert float(np.sum(frac.weights)) == pytest.approx(3.0, abs=1e-9)
+
+
+def detmax_by_numpy(x, iters, logdet=lambda a: float(np.linalg.slogdet(a)[1])):
+    """fractional_detmax's Frank-Wolfe from the scalar local-search support,
+    with directions from numpy.linalg.inv and log-dets from `logdet`; the
+    first strict maximum wins.  Returns the best weights and the log-dets."""
+    n, d = x.shape
+    s = np.zeros(n)
+    s[list(scalar_local_search(x, d)[0])] = 1.0
+    eps = detmax.EPS_RIDGE_REL * float(np.max(np.einsum("ij,ij->i", x, x)))
+    a = (x.T * s) @ x + eps * np.eye(d)
+    logdets = [logdet(a)]
+    best_s, best = s.copy(), logdets[0]
+    for t in range(1, iters + 1):
+        q = int(np.argmax(np.einsum("ij,ij->i", x @ np.linalg.inv(a), x)))
+        gamma = 2.0 / (t + 2.0)
+        s *= 1.0 - gamma
+        s[q] += gamma * d
+        a = (1.0 - gamma) * a + (gamma * d) * np.outer(x[q], x[q]) \
+            + (gamma * eps) * np.eye(d)
+        logdets.append(logdet(a))
+        if logdets[-1] > best:
+            best_s, best = s.copy(), logdets[-1]
+        if abs(logdets[-1] - logdets[-2]) < detmax.FW_DETMAX_REL * max(abs(logdets[-2]), 1e-300):
+            break
+    return best_s, logdets
+
+
+class TestFrankWolfeLoop:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_detmax_matches_numpy_loop(self, seed):
+        x = np.random.default_rng(seed).standard_normal((12, 5))
+        ref, logdets = detmax_by_numpy(x, 250)
+        if seed == 7:
+            assert len(logdets) == 108  # the stop rule ends the run after 107 steps
+        assert fractional_detmax(x, iters=250).weights.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ridge_stays_in_every_iterate(self, seed):
+        # a 1e-5 column puts A's smallest eigenvalue next to the eps ridge, so
+        # the scores along it depend on the ridge each step adds back
+        x = np.random.default_rng(seed).standard_normal((12, 5))
+        x[:, 4] *= 1e-5
+        ref, _ = detmax_by_numpy(x, 250)
+        assert fractional_detmax(x, iters=250).weights.tobytes() == ref.tobytes()
+
+    def test_tie_keeps_the_first_maximum(self, monkeypatch):
+        # log-dets rounded to 0.1 tie; the run stops on a tie with the maximum
+        real = linalg.logdet_spd
+        monkeypatch.setattr(linalg, "logdet_spd", lambda low: round(real(low), 1))
+        x = np.random.default_rng(0).standard_normal((12, 5))
+        ref, logdets = detmax_by_numpy(
+            x, 250, logdet=lambda a: round(float(np.linalg.slogdet(a)[1]), 1))
+        assert logdets[-1] == max(logdets) and logdets.index(max(logdets)) < len(logdets) - 1
+        assert fractional_detmax(x, iters=250).weights.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("obj", [DesignObjective.D, DesignObjective.A])
+    def test_singular_iterate_raises(self, obj):
+        # rank two, but the rows are 1e-8 apart: the second pivot of every
+        # iterate is below 1e-13 of its diagonal entry, so there is no factor
+        x = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-8]])
+        with pytest.raises(ValueError, match="not positive definite"):
+            fractional_design(x, obj, 2.0)
 
 
 class TestNikolovRound:

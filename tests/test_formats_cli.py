@@ -168,6 +168,20 @@ class TestCli:
         assert code == 0
         assert json.loads(out) == {"size": size, "verdict": "pass"}
 
+    @pytest.mark.parametrize("verify", ["weak", "strong"])
+    def test_spanner_with_tiny_row_beside_unit_rows(self, tmp_path, capsys, verify):
+        # at alpha 4 the 1e-10 row is in the spanner's span but not a member:
+        # its l1 LP once raised lp.Unbounded, a traceback out of the CLI
+        g = np.random.default_rng(3).standard_normal((60, 4))
+        x = np.vstack([g / np.linalg.norm(g, axis=1, keepdims=True),
+                       1e-10 * np.array([0.3, 0.1, -0.2, 0.9])])
+        data = tmp_path / "v.csv"
+        write_vector_file(str(data), VectorSet(x))
+        code, out, _ = run_cli(["spanner", "--input", str(data), "--alpha", "4",
+                                "--verify", verify], capsys)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+
     def test_spanner_on_subnormal_rows_exit_2(self, tmp_path, capsys):
         # a witness x with <x, v> = 1 for |v| ~ 1e-320 would overflow
         data = tmp_path / "v.csv"

@@ -190,7 +190,7 @@ class TestLowerboundExperiment:
         union_positions = []
         from specspan.spanner import SpannerParams, build_k_spanner
         for part in inst.parts.parts:
-            sp = build_k_spanner(part, 16, params=SpannerParams(k=16), max_size=16)
+            sp = build_k_spanner(part, 16, params=SpannerParams(), max_size=16)
             union_positions.extend(label_pos[l] for l in sp.indices)
         union = full.subset(union_positions)
         sol = detmax.greedy_local_search(union, 16)
@@ -208,3 +208,16 @@ class TestLowerboundExperiment:
         assert rep.ratio == pytest.approx(rep.objective / big_m ** (2 * inst.m), rel=1e-12)
         x = inst.parts.union.vectors
         assert 0.0 < rep.objective <= float(np.linalg.det(x.T @ x)) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ratio_does_not_depend_on_m(self, seed):
+        # the Y rows and the unit X rows are far apart in scale but not near
+        # dependent; a pivot floor relative to the largest diagonal once
+        # scored every full-rank set 0 for M above about 3e6
+        ratios = []
+        for big_m in (1e6, 1e7, 1e8):
+            inst = gen_hard_instance(12, 1.0, big_m, seed=seed, n_override=96)
+            rep = lowerbound_experiment(inst, 12, seed=seed)
+            assert rep.objective > 0.0
+            ratios.append(rep.ratio)
+        assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-9)

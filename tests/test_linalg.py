@@ -238,22 +238,42 @@ class TestCholeskyHelpers:
         a = random_psd(rng, 4, rank=2)
         assert linalg.det_gram(a) == 0.0
 
+    def test_det_gram_ignores_row_scales(self, rng):
+        # the pivot floor compares each pivot with its own diagonal entry, so
+        # rows of norm 1e8 beside rows of norm 1e-8 still factor
+        x = rng.standard_normal((5, 7))
+        g = x @ x.T
+        scales = np.array([1e8, 1.0, 1e-8, 1e4, 1e-4])
+        scaled = linalg.det_gram(g * np.outer(scales, scales))
+        assert scaled == pytest.approx(linalg.det_gram(g) * float(np.prod(scales)) ** 2, rel=1e-9)
+        assert linalg.cholesky_spd(np.diag([1e20, 1.0])) is not None
+
     def test_solve_spd(self, rng):
         a = random_psd(rng, 5) + np.eye(5)
         b = rng.standard_normal(5)
         x = linalg.solve_spd(a, b)
         assert np.allclose(a @ x, b, atol=1e-9)
 
-    def test_inv_spd(self, rng):
-        a = random_psd(rng, 4) + np.eye(4)
-        assert np.allclose(linalg.inv_spd(a) @ a, np.eye(4), atol=1e-9)
+    def test_solve_spd_singular_raises(self):
+        with pytest.raises(ValueError, match="not positive definite"):
+            linalg.solve_spd(np.diag([1.0, 0.0]), np.ones(2))
+
+    def test_solve_upper(self, rng):
+        a = random_psd(rng, 5) + np.eye(5)
+        low = linalg.cholesky_spd(a)
+        for y in (rng.standard_normal(5), rng.standard_normal((5, 3))):
+            kept = y.copy()
+            x = linalg.solve_upper(low, y)
+            assert np.allclose(x, np.linalg.solve(low.T, y), rtol=1e-12, atol=1e-12)
+            assert np.array_equal(y, kept)
 
     def test_precomputed_factor_gives_same_bits(self, rng):
+        # the Frank-Wolfe steps reuse one factor for both substitutions
         a = random_psd(rng, 5) + np.eye(5)
         low = linalg.cholesky_spd(a)
         b = rng.standard_normal((5, 3))
-        assert np.array_equal(linalg.solve_spd(a, b, low), linalg.solve_spd(a, b))
-        assert np.array_equal(linalg.inv_spd(a, low), linalg.inv_spd(a))
+        two_solves = linalg.solve_upper(low, linalg.solve_lower(low, b))
+        assert np.array_equal(linalg.solve_spd(a, b), two_solves)
         assert linalg.logdet_spd(low) == pytest.approx(math.log(np.linalg.det(a)), abs=1e-10)
         assert linalg.logdet_spd(None) == -math.inf
 

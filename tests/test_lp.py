@@ -198,6 +198,19 @@ class TestL1Representation:
         with pytest.raises(Infeasible):
             l1_representation(np.array([[1.0, 0.0, 0.0]]), np.array([0.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("scale", [1e-11, 1e-8, 1e8])
+    def test_v_far_from_the_scale_of_u(self, scale):
+        # U and v are scaled by their own powers of two: with v's factor alone
+        # U reached the tableau at 1e8 or more and the simplex raised Unbounded
+        g = np.random.default_rng(3).standard_normal((60, 4))
+        us = g / np.linalg.norm(g, axis=1, keepdims=True)
+        v = np.array([0.3, 0.1, -0.2, 0.9])
+        c = l1_representation(us, scale * v)
+        assert np.allclose(us.T @ c, scale * v, rtol=0.0, atol=1e-12 * scale)
+        ref = l1_representation(us, v)
+        assert float(np.sum(np.abs(c))) == pytest.approx(scale * float(np.sum(np.abs(ref))),
+                                                         rel=1e-9)
+
     def test_norm_is_inverse_domination_margin(self, rng):
         for _ in range(20):
             us = rng.standard_normal((5, 3))

@@ -224,6 +224,27 @@ class TestVerifyWeak:
             assert float(w @ vs.vectors[label]) ** 2 > 4.0 * top
             assert not all(c.passes(4.0) for c in certify_all(vs, scaled, 4.0))
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-10, 1e-11])
+    def test_tiny_row_beside_unit_rows(self, scale):
+        # the l1 LP once scaled U by the tiny row's power of two, so U reached
+        # the tableau at 1e8 or more and both checks raised lp.Unbounded
+        x = np.vstack([unit_rows(np.random.default_rng(3), 60, 4),
+                       scale * np.array([0.3, 0.1, -0.2, 0.9])])
+        vs = VectorSet(x)
+        sp = build_d_spanner(vs, 4.0)
+        assert verify_weak(vs, sp, 4.0) == (True, None)
+        certs = certify_all(vs, sp, 4.0)
+        assert [c.vector_index for c in certs] == list(range(len(x)))
+        for cert in certs:
+            lbls = [lbl for lbl, _ in cert.support]
+            p = np.array([prob for _, prob in cert.support])
+            v = x[cert.vector_index]
+            mix = (x[lbls].T * p) @ x[lbls]
+            proj = mix @ np.linalg.pinv(mix) @ v
+            assert np.allclose(proj, v, rtol=0.0, atol=1e-9 * np.linalg.norm(v))
+            assert cert.passes(4.0)
+            assert cert.delta * float(v @ np.linalg.pinv(mix) @ v) <= 1.0 + 1e-9
+
     def test_composability_union_of_spanners(self, rng):
         # union of per-half spanners weakly covers the whole input
         x = unit_rows(rng, 200, 5)
@@ -391,7 +412,7 @@ class TestBuildKSpanner:
     def test_k_equals_d_degenerates_to_d_spanner(self, rng):
         x = unit_rows(rng, 40, 4)
         alpha = default_alpha(4)
-        kd = build_k_spanner(VectorSet(x), 4, SpannerParams(k=4, alpha=alpha))
+        kd = build_k_spanner(VectorSet(x), 4, SpannerParams(alpha=alpha))
         dd = build_d_spanner(VectorSet(x), alpha)
         assert kd.indices == dd.indices
 
@@ -437,7 +458,7 @@ class TestBuildKSpanner:
 
     def test_m_override(self, rng):
         x = unit_rows(rng, 100, 10)
-        sp = build_k_spanner(VectorSet(x), 2, SpannerParams(k=2, m_override=7))
+        sp = build_k_spanner(VectorSet(x), 2, SpannerParams(m_override=7))
         assert sum(t == "volume_greedy" for t in sp.stage_tags) == 7
 
 
