@@ -190,6 +190,12 @@ class DominationResult:
         return self.status == "covered"
 
 
+def check_alpha(alpha: float) -> None:
+    """The one alpha rule of every public entry point: 1 <= alpha < inf."""
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 1")
+
+
 def cover_threshold(alpha: float) -> float:
     """t* at or above this certifies coverage (relative slack included)."""
     return (1.0 - COVER_SLACK_REL) / math.sqrt(alpha)
@@ -201,11 +207,10 @@ def domination_check(v, spanner_vectors, alpha: float) -> DominationResult:
     The polytope {x : <x,v> > sqrt(alpha)|<x,u>| for all u} is nonempty exactly
     when t* < 1/sqrt(alpha); the optimal x is then the strongest witness.
     """
+    check_alpha(alpha)
     v = np.asarray(v, dtype=np.float64)
     d = v.shape[0]
     us = as_matrix(spanner_vectors) if len(spanner_vectors) else np.zeros((0, d))
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
     if us.shape[1] != d:
         raise ValueError("dimension mismatch between v and spanner vectors")
     if not np.any(v):

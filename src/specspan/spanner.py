@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .lp import Infeasible, cover_threshold, domination_check, l1_representation
+from .lp import Infeasible, check_alpha, cover_threshold, domination_check, l1_representation
 from .vectorset import VectorSet, as_matrix, as_vector_set
 
 ZERO_NORM_REL = 1e-12        # a row this far below the largest row norm is zero
@@ -46,8 +46,7 @@ class SpannerParams:
 
     def resolve_alpha(self, dim: int) -> float:
         if self.alpha is not None:
-            if not 1.0 <= self.alpha < math.inf:
-                raise ValueError("alpha must be finite and >= 1")
+            check_alpha(self.alpha)
             return float(self.alpha)
         if not 0.0 <= self.alpha_scale < math.inf:
             raise ValueError("alpha_scale must be finite and >= 0")
@@ -155,22 +154,31 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None,
 
     Scans the input from index 0, adds argmax_u <u, x>^2 for the witness
     direction x of the first uncovered vector, and rescans until every vector
-    is covered.  Coverage is monotone in U, so a covered vector stays covered;
-    a cheap dual-feasibility screen certifies most covered vectors without an
-    LP.  The rows are scaled by one power of two (linalg.unit_scale), which
-    is exact and leaves every pick; the witnesses are scaled back.
+    is covered.  Coverage is monotone in U, so a covered vector is never
+    tested again.  A cheap dual-feasibility screen sees only the uncovered
+    rows whose residual against span(U), kept in one matrix deflated per pick
+    as in volume_greedy, is at most NOT_IN_SPAN_REL of the row: no other row
+    can pass it.  The LP gives every row the screen leaves the verdict the
+    screen would, so the gate leaves every pick.  The rows are scaled by one
+    power of two (linalg.unit_scale), which is exact and leaves every pick;
+    the witnesses are scaled back.
     """
-    if not 1.0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and >= 1")
+    check_alpha(alpha)
     x, labels = _ingest(vs)
     n, d = x.shape
     scale = linalg.unit_scale(x)
     xs = scale * x
+    norms = np.sqrt(np.einsum("ij,ij->i", xs, xs))
+    resid = xs.copy()
+    top = 0.0  # largest picked norm, for gram_schmidt's drop rule
     covered = np.zeros(n, dtype=bool)
     picks: list[int] = []
     wits: list[np.ndarray] = []
     while max_size is None or len(picks) < max_size:
-        covered |= _coverage_screen(xs, xs[picks], alpha)
+        in_span = ~covered & (np.sqrt(np.einsum("ij,ij->i", resid, resid))
+                              <= NOT_IN_SPAN_REL * norms)
+        if in_span.any():
+            covered[in_span] = _coverage_screen(xs[in_span], xs[picks], alpha)
         for i in np.flatnonzero(~covered):
             res = domination_check(xs[i], xs[picks], alpha)
             if res.covered:
@@ -180,6 +188,11 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None,
             picks.append(j)
             wits.append(scale * res.witness)
             covered[j] = True  # a member of U always has t* >= 1 >= 1/sqrt(alpha)
+            top = max(top, float(norms[j]))
+            rj = linalg.vec_norm(resid[j])
+            if rj > linalg.GS_DROP_REL * top:
+                b = resid[j] / rj
+                resid -= np.outer(resid @ b, b)
             break
         else:
             break
@@ -234,6 +247,7 @@ def verify_weak(vs, sp, alpha: float) -> tuple[bool, tuple[int, np.ndarray] | No
     (True, None) or (False, (label, x)) for the first violating vector and
     its witness direction.
     """
+    check_alpha(alpha)
     v = as_vector_set(vs)
     u = sp.vectors if isinstance(sp, Spanner) else as_matrix(sp)
     x = v.vectors
@@ -310,6 +324,7 @@ def strong_certificate(v, spanner_vectors, alpha: float,
     mass on its first copy, and v = 0 the uniform distribution.  Status is
     "pass" when delta >= 1/alpha - CERT_SLACK and "fail" otherwise.
     """
+    check_alpha(alpha)
     u = as_matrix(spanner_vectors)
     if len(u) == 0:
         raise NotInSpan("empty spanner cannot certify anything")
@@ -323,6 +338,7 @@ def strong_certificate(v, spanner_vectors, alpha: float,
 
 def certify_all(vs, sp: Spanner, alpha: float) -> list[CoverageCertificate]:
     """strong_certificate over the spanner of every row the build keeps."""
+    check_alpha(alpha)
     v = as_vector_set(vs)
     coefficients = _certifier(sp.vectors)
     return [_certificate(coefficients(v.vectors[i]), alpha, int(v.labels[i]), sp.indices)
@@ -459,6 +475,7 @@ def verify_k_spanner(vs, sp: Spanner, k: int, alpha: float,
     uniform part has weight 0.  Every vector is scaled by the input's
     linalg.unit_scale first: the slack of preceq_k is not scale-covariant.
     """
+    check_alpha(alpha)
     v = as_vector_set(vs)
     d = v.dim
     scale = linalg.unit_scale(v.vectors)

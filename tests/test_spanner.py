@@ -176,8 +176,13 @@ class TestCoverageScreen:
     def test_screen_only_saves_lps(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         hard = hardgen.gen_hard_instance(8, 1.0, 1e6, seed, n_override=48)
-        # the per-part builds of the lower-bound experiment, uncapped
-        inputs = [VectorSet(unit_rows(rng, 150, 8)), *hard.x_sets]
+        plane = rng.standard_normal((100, 2)) @ rng.standard_normal((2, 8))
+        scaled = unit_rows(rng, 150, 8) * np.exp(rng.uniform(-10.0, 10.0, (150, 1)))
+        # the per-part builds of the lower-bound experiment, uncapped; rows in
+        # a 2-plane that are in span(U) before U spans R^8; norms over e^20
+        inputs = [VectorSet(unit_rows(rng, 150, 8)), *hard.x_sets,
+                  VectorSet(np.vstack([plane, rng.standard_normal((50, 8))])),
+                  VectorSet(scaled)]
         alpha = default_alpha(8)
         for vs in inputs:
             with_screen = build_d_spanner(vs, alpha)
@@ -188,6 +193,34 @@ class TestCoverageScreen:
             assert with_screen.indices == without.indices
             assert all(np.array_equal(p, q) for p, q in
                        zip(with_screen.witnesses, without.witnesses))
+
+    def test_screen_sees_only_uncovered_rows_in_span(self, monkeypatch):
+        x = unit_rows(np.random.default_rng(0), 150, 8)
+        screen, check = spanner._coverage_screen, spanner.domination_check
+        received: list[np.ndarray] = []
+        covered: list[np.ndarray] = []  # marked by the screen or by the LP
+
+        def wrapped(rows, u, alpha):
+            for row in rows:
+                assert not any(np.array_equal(row, seen) for seen in [*u, *covered])
+                c = np.linalg.lstsq(u.T, row, rcond=None)[0]
+                resid = np.linalg.norm(u.T @ c - row)
+                assert resid <= spanner.NOT_IN_SPAN_REL * np.linalg.norm(row)
+            out = screen(rows, u, alpha)
+            received.append(rows)
+            covered.extend(rows[out])
+            return out
+
+        def wrapped_check(v, u, alpha):
+            res = check(v, u, alpha)
+            if res.covered:
+                covered.append(v)
+            return res
+
+        monkeypatch.setattr(spanner, "_coverage_screen", wrapped)
+        monkeypatch.setattr(spanner, "domination_check", wrapped_check)
+        build_d_spanner(VectorSet(x), default_alpha(8))
+        assert [len(rows) for rows in received] == [142]
 
 
 class TestVerifyWeak:
@@ -386,6 +419,23 @@ class TestSpannerParams:
 
     def test_zero_alpha_scale_floors_at_one(self):
         assert SpannerParams(alpha_scale=0.0).resolve_alpha(4) == 1.0
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.5])
+    @pytest.mark.parametrize("entry", ["domination_check", "verify_weak",
+                                       "strong_certificate", "certify_all",
+                                       "verify_k_spanner", "build_d_spanner"])
+    def test_every_entry_point_rejects_bad_alpha(self, entry, alpha):
+        sp = build_d_spanner(VectorSet(I3), 4.0)
+        calls = {
+            "domination_check": lambda: domination_check(I3[0], I3[1:], alpha),
+            "verify_weak": lambda: verify_weak(VectorSet(I3), sp, alpha),
+            "strong_certificate": lambda: strong_certificate(I3[0], I3, alpha),
+            "certify_all": lambda: certify_all(VectorSet(I3), sp, alpha),
+            "verify_k_spanner": lambda: verify_k_spanner(VectorSet(I3), sp, 1, alpha),
+            "build_d_spanner": lambda: build_d_spanner(VectorSet(I3), alpha),
+        }
+        with pytest.raises(ValueError, match="alpha must be finite and >= 1"):
+            calls[entry]()
 
 
 class TestVolumeGreedy:
