@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 bad flags, 3 generation/guard failure, 4 verification
-failure.  stdout carries machine-readable JSON only; human messages go to
+Exit codes: 0 success, 2 bad flags, 3 generation/guard failure or a build the
+LP could not finish, 4 verification failure (also when a verifier's LP could
+not finish).  stdout carries machine-readable JSON only; human messages go to
 stderr.  Every command honors --seed for bit-exact reproducibility of all
 non-timing fields.
 """
@@ -18,7 +19,9 @@ from . import detmax, hardgen
 from .coreset import (REPORT_VERSION, BadPartColumn, PartitionedInput,
                       PartitionScheme, Solver, partition, run_pipeline, solve)
 from .formats import FormatError, read_vector_file, report_json, write_report, write_vector_file
-from .spanner import SpannerParams, build_k_spanner, certify_all, verify_k_spanner, verify_weak
+from .lp import Infeasible, Unbounded
+from .spanner import (NotInSpan, SpannerParams, build_k_spanner, certify_all,
+                      verify_k_spanner, verify_weak)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -26,6 +29,7 @@ EXIT_GENERATION = 3
 EXIT_VERIFY = 4
 
 SOLVERS = [s.value for s in Solver]
+LP_FAILURES = (Infeasible, Unbounded, NotInSpan)  # an LP that could not finish
 
 
 def _report(config: dict, timings_ms: dict, **fields) -> dict:
@@ -80,16 +84,23 @@ def _cmd_spanner(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except LP_FAILURES as exc:
+        print(f"build failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_GENERATION
     t_build = time.perf_counter()
     verdict = "skipped"
     ok = True
-    if args.verify == "weak":
-        ok, _ = verify_weak(vs, sp, sp.alpha)
-    elif args.verify == "strong":
-        certs = certify_all(vs, sp, sp.alpha)
-        ok = all(c.passes(sp.alpha) for c in certs)
-    elif args.verify == "k":
-        ok = verify_k_spanner(vs, sp, k, sp.alpha)
+    reason = "verification failed"
+    try:
+        if args.verify == "weak":
+            ok, _ = verify_weak(vs, sp, sp.alpha)
+        elif args.verify == "strong":
+            certs = certify_all(vs, sp, sp.alpha)
+            ok = all(c.passes(sp.alpha) for c in certs)
+        elif args.verify == "k":
+            ok = verify_k_spanner(vs, sp, k, sp.alpha)
+    except LP_FAILURES as exc:
+        ok, reason = False, f"verification failed: {type(exc).__name__}: {exc}"
     if args.verify != "none":
         verdict = "pass" if ok else "fail"
     t_verify = time.perf_counter()
@@ -109,7 +120,7 @@ def _cmd_spanner(args) -> int:
             fh.write("\n".join(str(i) for i in sp.indices) + "\n")
     print(report_json({"size": sp.size, "verdict": verdict}), end="")
     if args.verify != "none" and not ok:
-        print("verification failed", file=sys.stderr)
+        print(reason, file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -163,6 +174,9 @@ def _cmd_pipeline(args) -> int:
                               seed=args.seed, trials=args.trials)
     except (detmax.TooLarge, detmax.Degenerate) as exc:
         print(f"guard: {exc}", file=sys.stderr)
+        return EXIT_GENERATION
+    except LP_FAILURES as exc:
+        print(f"build failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_GENERATION
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

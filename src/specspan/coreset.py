@@ -158,7 +158,8 @@ def compose(pinput: PartitionedInput, k: int,
     """Per-part k-spanners, union in (part, local) order, offline solve.
 
     The composed core-set is only as good as its weakest part, so the alpha
-    reported is the largest one a non-empty part was built with.
+    reported is the largest one a non-empty part was built with.  A union of
+    fewer than k rows raises detmax.Degenerate, a guard for every solver.
     """
     params = params or SpannerParams()
     full = pinput.union
@@ -174,6 +175,8 @@ def compose(pinput: PartitionedInput, k: int,
     label_pos = {int(lbl): i for i, lbl in enumerate(full.labels)}
     union = full.subset([label_pos[lbl] for sp in spanners if sp is not None
                          for lbl in sp.indices])
+    if len(union) < k:
+        raise detmax.Degenerate(f"core-set union of size {len(union)} is smaller than k={k}")
     sol = solve(union, k, solver, trials, derive_seed(seed, "round"))
     t_solve = time.perf_counter()
     alpha = max((sp.alpha for sp in spanners if sp is not None),

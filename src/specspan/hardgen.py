@@ -229,18 +229,6 @@ class LowerboundReport:
     seed: int
     timings_ms: dict[str, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "survived": self.survived,
-            "coreset_sizes": self.coreset_sizes,
-            "objective": self.objective,
-            "planted_value": self.planted_value,
-            "ratio": self.ratio,
-            "m": self.m,
-            "seed": self.seed,
-            "timings_ms": self.timings_ms,
-        }
-
 
 def lowerbound_experiment(inst: HardInstance, coreset_size_cap: int,
                           seed: int = 0) -> LowerboundReport:

@@ -2,9 +2,10 @@
 
 The greedy build repeatedly finds a vector whose squared projection along some
 direction beats every chosen vector by a factor alpha, then adds the input
-vector with the largest projection along that direction.  Every verifier
-settles coverage by one minimum-l1 representation of v over U (Elfving's
-theorem), with U's span frame computed once per call: the per-direction (weak)
+vector with the largest projection along that direction.  It keeps one span
+frame per build, which its coverage screen reads.  Every verifier settles
+coverage by one minimum-l1 representation of v over U (Elfving's theorem),
+with its own span frame of U computed once per call: the per-direction (weak)
 property, exact per-vector certificates, and the k-order variant that mixes a
 volume-greedy stage with a spanner built in the projected frame.  One
 scale-free rule decides which rows are zero, for the build and every verifier.
@@ -42,7 +43,6 @@ class SpannerParams:
 
     alpha: float | None = None
     alpha_scale: float = 1.0
-    m_override: int | None = None
 
     def resolve_alpha(self, dim: int) -> float:
         if self.alpha is not None:
@@ -53,19 +53,19 @@ class SpannerParams:
         return max(1.0, self.alpha_scale * dim * (1.0 + math.log(max(dim, 1))) ** 2)
 
     def resolve_m(self, k: int, dim: int) -> int:
-        if self.m_override is not None:
-            return int(self.m_override)
         # 2k(1 + ceil(log2(k+1))) keeps m^(2k/m) <= 4; bit_length is the exact ceil
         return min(dim, 2 * k * (1 + k.bit_length()))
 
 
 @dataclass
 class Spanner:
+    """A built spanner; each fact is stored once.  The d-stage trace keeps
+    every d-stage pick with its witness (ambient frame), also a pick that
+    repeats a volume pick, which `indices` lists once."""
+
     indices: list[int]                     # original labels, selection order
     vectors: np.ndarray                    # aligned (size, d) selected vectors
-    stage_tags: list[str]
-    witnesses: list[np.ndarray | None]     # aligned; None for volume picks
-    params: SpannerParams
+    stage_tags: list[str]                  # aligned; STAGE_VOLUME or STAGE_DSPANNER
     alpha: float                           # alpha used by the d-spanner stage
     dspanner_vectors: np.ndarray           # full d-stage pick trace
     dspanner_witnesses: np.ndarray         # aligned witnesses (ambient frame)
@@ -120,25 +120,23 @@ def _ingest(vs) -> tuple[np.ndarray, np.ndarray]:
     return x[positions], v.labels[positions]
 
 
-def _coverage_screen(x: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
+def _coverage_screen(x: np.ndarray, u: np.ndarray, basis: np.ndarray,
+                     alpha: float) -> np.ndarray:
     """Rows of x certified covered by a cheap l1-representation bound.
 
     By LP duality t*(v, U) = 1 / min{sum |c| : sum c_u u = v}, so any
     representation with small enough l1 norm certifies coverage without
-    touching the LP.  The min-l2 representation comes from the span frame,
-    where U has full column rank r: a Cholesky solve of the r x r normal
-    equations.  Soundness rests on the residual and l1 tests of the returned
-    C alone; an ill-conditioned frame certifies nothing and leaves every row
-    to the LP.  Deliberately conservative near the threshold.
+    touching the LP.  The min-l2 representation comes from the build's frame
+    `basis` (orthonormal rows spanning U), where U has full column rank r: a
+    Cholesky solve of the r x r normal equations.  Soundness rests on the
+    residual and l1 tests of the returned C alone; a poor frame certifies
+    nothing and leaves every row to the LP.  Conservative near the threshold.
     """
-    n = x.shape[0]
-    if len(u) == 0:
-        return np.zeros(n, dtype=bool)
-    basis, ut = _span_frame(u)
+    ut = u @ basis.T
     try:
         z = linalg.solve_spd(ut.T @ ut, (x @ basis.T).T)
     except ValueError:
-        return np.zeros(n, dtype=bool)
+        return np.zeros(x.shape[0], dtype=bool)
     coeffs = (ut @ z).T
     resid = coeffs @ u - x
     x_norms = np.sqrt(np.einsum("ij,ij->i", x, x))
@@ -148,20 +146,21 @@ def _coverage_screen(x: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
     return in_span & (l1 <= math.sqrt(alpha) * (1.0 - SCREEN_SLACK))
 
 
-def build_d_spanner(vs, alpha: float, max_size: int | None = None,
-                    params: SpannerParams | None = None) -> Spanner:
+def build_d_spanner(vs, alpha: float, max_size: int | None = None) -> Spanner:
     """Greedy spectral spanner for the full-dimensional order.
 
     Scans the input from index 0, adds argmax_u <u, x>^2 for the witness
     direction x of the first uncovered vector, and rescans until every vector
     is covered.  Coverage is monotone in U, so a covered vector is never
-    tested again.  A cheap dual-feasibility screen sees only the uncovered
-    rows whose residual against span(U), kept in one matrix deflated per pick
-    as in volume_greedy, is at most NOT_IN_SPAN_REL of the row: no other row
-    can pass it.  The LP gives every row the screen leaves the verdict the
-    screen would, so the gate leaves every pick.  The rows are scaled by one
-    power of two (linalg.unit_scale), which is exact and leaves every pick;
-    the witnesses are scaled back.
+    tested again.  One span frame serves the build: the rows' residuals
+    against span(U), deflated per pick as in volume_greedy, and the unit rows
+    they were deflated by, an orthonormal basis of span(U).  A cheap
+    dual-feasibility screen reads that basis and sees only the uncovered rows
+    whose residual is at most NOT_IN_SPAN_REL of the row: no other row can
+    pass it.  The LP gives every row the screen leaves the verdict the screen
+    would, so the screen moves no pick.  The rows are scaled by one power of
+    two (linalg.unit_scale), which is exact and leaves every pick; the
+    witnesses are scaled back.
     """
     check_alpha(alpha)
     x, labels = _ingest(vs)
@@ -170,6 +169,7 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None,
     xs = scale * x
     norms = np.sqrt(np.einsum("ij,ij->i", xs, xs))
     resid = xs.copy()
+    basis: list[np.ndarray] = []  # orthonormal rows spanning span(U)
     top = 0.0  # largest picked norm, for gram_schmidt's drop rule
     covered = np.zeros(n, dtype=bool)
     picks: list[int] = []
@@ -178,7 +178,8 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None,
         in_span = ~covered & (np.sqrt(np.einsum("ij,ij->i", resid, resid))
                               <= NOT_IN_SPAN_REL * norms)
         if in_span.any():
-            covered[in_span] = _coverage_screen(xs[in_span], xs[picks], alpha)
+            covered[in_span] = _coverage_screen(xs[in_span], xs[picks],
+                                                np.array(basis), alpha)
         for i in np.flatnonzero(~covered):
             res = domination_check(xs[i], xs[picks], alpha)
             if res.covered:
@@ -193,20 +194,18 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None,
             if rj > linalg.GS_DROP_REL * top:
                 b = resid[j] / rj
                 resid -= np.outer(resid @ b, b)
+                basis.append(b)
             break
         else:
             break
 
-    chosen = [int(labels[j]) for j in picks]
     sp = Spanner(
-        indices=chosen,
-        vectors=x[picks].copy() if picks else np.zeros((0, d)),
+        indices=[int(labels[j]) for j in picks],
+        vectors=x[picks],
         stage_tags=[STAGE_DSPANNER] * len(picks),
-        witnesses=[w.copy() for w in wits],
-        params=params or SpannerParams(alpha=alpha),
         alpha=float(alpha),
-        dspanner_vectors=x[picks].copy() if picks else np.zeros((0, d)),
-        dspanner_witnesses=np.array(wits) if wits else np.zeros((0, d)),
+        dspanner_vectors=x[picks],
+        dspanner_witnesses=np.array(wits).reshape(-1, d),
     )
     ok, worst = check_witness_dominance(sp)
     if not ok:
@@ -265,12 +264,6 @@ def verify_weak(vs, sp, alpha: float) -> tuple[bool, tuple[int, np.ndarray] | No
     return True, None
 
 
-def _span_frame(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of span(U) and the coordinates of U's rows in it."""
-    basis = linalg.gram_schmidt(u)
-    return basis, u @ basis.T
-
-
 def _certifier(u: np.ndarray):
     """|c| of the minimum-l1 representation U^T c = v, for any v.
 
@@ -278,7 +271,8 @@ def _certifier(u: np.ndarray):
     member of U gets a point mass on its first copy; anything else gets the
     l1 LP in the frame, where U has full rank.  Raises NotInSpan.
     """
-    basis, ut = _span_frame(u)
+    basis = linalg.gram_schmidt(u)
+    ut = u @ basis.T
     first: dict[bytes, int] = {}
     for j, row in enumerate(u + 0.0):  # + 0.0 makes -0.0 and 0.0 one key
         first.setdefault(row.tobytes(), j)
@@ -345,11 +339,11 @@ def certify_all(vs, sp: Spanner, alpha: float) -> list[CoverageCertificate]:
             for i in np.flatnonzero(_nonzero_rows(v.vectors))]
 
 
-def volume_greedy(vs, m: int, params: SpannerParams | None = None) -> Spanner:
+def volume_greedy(vs, m: int) -> Spanner:
     """Greedy volume maximization: repeatedly take the largest residual norm.
 
     Ties break to the lowest index at relative tolerance 1e-9; stops early when
-    the best residual norm falls to 1e-10 of the largest input norm (rank).
+    the best residual norm falls to GS_DROP_REL of the largest norm (rank).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -362,7 +356,7 @@ def volume_greedy(vs, m: int, params: SpannerParams | None = None) -> Spanner:
     for _ in range(min(m, n)):
         rn = np.sqrt(np.einsum("ij,ij->i", resid, resid))
         best = float(rn.max())
-        if best <= 1e-10 * max_norm:
+        if best <= linalg.GS_DROP_REL * max_norm:
             break
         j = int(np.argmax(rn >= best * (1.0 - 1e-9)))
         picks.append(j)
@@ -370,10 +364,8 @@ def volume_greedy(vs, m: int, params: SpannerParams | None = None) -> Spanner:
         resid -= np.outer(resid @ b, b)
     return Spanner(
         indices=[int(v.labels[j]) for j in picks],
-        vectors=v.vectors[picks].copy(),
+        vectors=v.vectors[picks],
         stage_tags=[STAGE_VOLUME] * len(picks),
-        witnesses=[None] * len(picks),
-        params=params or SpannerParams(),
         alpha=1.0,
         dspanner_vectors=np.zeros((0, d)),
         dspanner_witnesses=np.zeros((0, d)),
@@ -387,7 +379,8 @@ def build_k_spanner(vs, k: int, params: SpannerParams | None = None,
     With m = min(d, ceil(2k(1 + ceil(log2(k+1))))), runs volume_greedy for m
     picks, projects the input onto their span, and builds a d-spanner in that
     frame.  Degenerates to a plain d-spanner when m <= 2k or m >= d (then
-    A <= B already implies A <=_k B).
+    A <= B already implies A <=_k B).  It lists the volume picks, then the
+    new d-stage picks; each trace witness is lifted to ambient coordinates.
     """
     v = as_vector_set(vs)
     d = v.dim
@@ -397,47 +390,24 @@ def build_k_spanner(vs, k: int, params: SpannerParams | None = None,
     m = params.resolve_m(k, d)
     if m <= 2 * k or m >= d:
         alpha = params.resolve_alpha(d)
-        return build_d_spanner(v, alpha, max_size=max_size, params=params)
+        return build_d_spanner(v, alpha, max_size=max_size)
 
-    vol = volume_greedy(v, m, params=params)
+    vol = volume_greedy(v, m)
     basis = linalg.gram_schmidt(vol.vectors)
-    r = basis.shape[0]
-    alpha = params.resolve_alpha(r)
+    alpha = params.resolve_alpha(len(basis))
     proj = VectorSet(v.vectors @ basis.T, v.labels)
     sub_cap = None if max_size is None else max(0, max_size - vol.size)
-    if sub_cap == 0:
-        sub = None
-    else:
-        sub = build_d_spanner(proj, alpha, max_size=sub_cap, params=params)
-
-    indices = list(vol.indices)
-    tags = list(vol.stage_tags)
-    wits: list[np.ndarray | None] = [None] * vol.size
-    vectors = [row for row in vol.vectors]
-    trace_vecs: list[np.ndarray] = []
-    trace_wits: list[np.ndarray] = []
-    if sub is not None:
-        label_to_pos = {int(lbl): i for i, lbl in enumerate(v.labels)}
-        for lbl, wx in zip(sub.indices, sub.witnesses):
-            lifted = basis.T @ wx
-            pos = label_to_pos[int(lbl)]
-            trace_vecs.append(v.vectors[pos])
-            trace_wits.append(lifted)
-            if lbl in indices:
-                continue
-            indices.append(int(lbl))
-            tags.append(STAGE_DSPANNER)
-            wits.append(lifted)
-            vectors.append(v.vectors[pos])
+    sub = build_d_spanner(proj, alpha, max_size=sub_cap)
+    pos = {int(lbl): i for i, lbl in enumerate(v.labels)}
+    indices = list(dict.fromkeys(vol.indices + sub.indices))
     return Spanner(
         indices=indices,
-        vectors=np.array(vectors),
-        stage_tags=tags,
-        witnesses=wits,
-        params=params,
+        vectors=v.vectors[[pos[lbl] for lbl in indices]],
+        stage_tags=vol.stage_tags + [STAGE_DSPANNER] * (len(indices) - vol.size),
         alpha=alpha,
-        dspanner_vectors=np.array(trace_vecs) if trace_vecs else np.zeros((0, d)),
-        dspanner_witnesses=np.array(trace_wits) if trace_wits else np.zeros((0, d)),
+        dspanner_vectors=v.vectors[[pos[lbl] for lbl in sub.indices]],
+        dspanner_witnesses=np.array([basis.T @ w for w in sub.dspanner_witnesses]
+                                    ).reshape(-1, d),
     )
 
 

@@ -12,6 +12,8 @@ import pytest
 from specspan import cli
 from specspan.formats import (FormatError, read_vector_file, report_json,
                               write_vector_file)
+from specspan.lp import Infeasible, Unbounded
+from specspan.spanner import NotInSpan
 from specspan.vectorset import VectorSet
 
 
@@ -87,6 +89,35 @@ def run_cli(args: list[str], capsys) -> tuple[int, str, str]:
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+PROBE_FILES = ["mixed-1e9", "mixed-1e10", "mixed-1e11", "twin", "zeros", "one-column"]
+PROBE_COMMANDS = ([["spanner", "--verify", v] for v in ("weak", "strong", "k")]
+                  + [["pipeline", "--k", "1", "--solver", s]
+                     for s in ("greedy", "brute", "fw-round")]
+                  + [["detmax", "--k", "1", "--method", m] for m in ("greedy", "fw-round")])
+
+
+@pytest.fixture(scope="module")
+def probe_corpus(tmp_path_factory) -> dict[str, str]:
+    """Degenerate inputs: 60 unit rows in R^4 whose first 30 are restricted to
+    e1, e2 and scaled by 1e9, 1e10 or 1e11; two identical rows; all-zero rows;
+    one column."""
+    root = tmp_path_factory.mktemp("probes")
+    g = np.random.default_rng(3).standard_normal((60, 4))
+    unit = g / np.linalg.norm(g, axis=1, keepdims=True)
+    flat = unit[:30].copy()
+    flat[:, 2:] = 0.0
+    flat /= np.linalg.norm(flat, axis=1, keepdims=True)
+    rows = {f"mixed-1e{e}": np.vstack([10.0 ** e * flat, unit[30:]]) for e in (9, 10, 11)}
+    rows["twin"] = np.array([[1.0, 0.0], [1.0, 0.0]])
+    rows["zeros"] = np.zeros((4, 3))
+    rows["one-column"] = np.array([[1.0], [-2.0], [3.0]])
+    paths = {}
+    for name, x in rows.items():
+        paths[name] = str(root / f"{name}.csv")
+        write_vector_file(paths[name], VectorSet(x))
+    return paths
 
 
 class TestCli:
@@ -215,6 +246,59 @@ class TestCli:
                                 "--verify", "weak"], capsys)
         assert code == 4
         assert json.loads(out)["verdict"] == "fail"
+
+    @pytest.mark.parametrize("command", PROBE_COMMANDS, ids="-".join)
+    @pytest.mark.parametrize("name", PROBE_FILES)
+    def test_probe_ends_in_documented_exit_code(self, probe_corpus, capsys, name, command):
+        # the mixed-scale files once ended 9 of these runs in a traceback
+        # (lp.Unbounded or NotInSpan out of a build or a verifier)
+        code, out, err = run_cli([command[0], "--input", probe_corpus[name],
+                                  *command[1:]], capsys)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if out:
+            json.loads(out)  # exactly one JSON document
+
+    @pytest.mark.parametrize("command", ["spanner", "pipeline"])
+    @pytest.mark.parametrize("exc", [Infeasible, Unbounded, NotInSpan])
+    def test_lp_failure_in_build_exit_3(self, tmp_path, capsys, monkeypatch, command, exc):
+        data = tmp_path / "s.csv"
+        write_vector_file(str(data), VectorSet(np.eye(3)))
+
+        def fail(*args, **kwargs):
+            raise exc("no finish")
+        monkeypatch.setattr(cli, "build_k_spanner" if command == "spanner" else "run_pipeline",
+                            fail)
+        code, out, err = run_cli([command, "--input", str(data), "--k", "3"], capsys)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"build failed: {exc.__name__}: no finish"]
+
+    @pytest.mark.parametrize("verify, name", [("weak", "verify_weak"),
+                                              ("strong", "certify_all"),
+                                              ("k", "verify_k_spanner")])
+    @pytest.mark.parametrize("exc", [Infeasible, Unbounded, NotInSpan])
+    def test_lp_failure_in_verifier_exit_4(self, tmp_path, capsys, monkeypatch, verify,
+                                           name, exc):
+        data = tmp_path / "s.csv"
+        write_vector_file(str(data), VectorSet(np.eye(3)))
+
+        def fail(*args, **kwargs):
+            raise exc("no finish")
+        monkeypatch.setattr(cli, name, fail)
+        code, out, err = run_cli(["spanner", "--input", str(data), "--verify", verify],
+                                 capsys)
+        assert code == 4
+        assert json.loads(out) == {"size": 3, "verdict": "fail"}
+        assert err.splitlines() == [f"verification failed: {exc.__name__}: no finish"]
+
+    @pytest.mark.parametrize("solver", ["greedy", "brute", "fw-round"])
+    def test_pipeline_union_below_k_is_a_guard(self, probe_corpus, capsys, solver):
+        # two identical rows leave a core-set of one row: greedy and brute once
+        # exited 2 ("k=2 out of range for n=1"), fw-round 3 ("rank(V) < d")
+        code, out, err = run_cli(["pipeline", "--input", probe_corpus["twin"],
+                                  "--k", "2", "--solver", solver], capsys)
+        assert code == 3 and out == ""
+        assert "union of size 1" in err
 
     def test_detmax_brute_toy(self, tmp_path, capsys):
         data = tmp_path / "t.csv"

@@ -278,7 +278,7 @@ class TestNumericalRegressions:
         # Unbounded; the l1 LP in U's frame settles it as covered.
         monkeypatch.setenv("THREADS", "1")
         monkeypatch.setattr(spanner, "_coverage_screen",
-                            lambda x, u, alpha: np.zeros(len(x), dtype=bool))
+                            lambda x, u, basis, alpha: np.zeros(len(x), dtype=bool))
         answers = []
 
         def check(v, u, alpha):

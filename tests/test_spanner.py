@@ -73,7 +73,7 @@ class TestBuildDSpanner:
         a = build_d_spanner(VectorSet(x), 10.0)
         b = build_d_spanner(VectorSet(x), 10.0)
         assert a.indices == b.indices
-        assert all(np.array_equal(p, q) for p, q in zip(a.witnesses, b.witnesses))
+        assert np.array_equal(a.dspanner_witnesses, b.dspanner_witnesses)
 
     def test_duplicate_vector_never_grows_spanner(self, rng):
         x = unit_rows(rng, 40, 4)
@@ -156,7 +156,7 @@ class TestCoverageScreen:
         sv = np.linalg.svd(u, compute_uv=False)
         kept = sv[sv > 1e-10 * sv[0]]
         assume(kept[-1] >= 1e-4 * sv[0])  # the l2 oracle needs a sane frame
-        marked = spanner._coverage_screen(x, u, alpha)
+        marked = spanner._coverage_screen(x, u, linalg.gram_schmidt(u), alpha)
         pinv_ut = np.linalg.pinv(u.T, rtol=1e-10)
         for i in np.flatnonzero(marked):
             c = pinv_ut @ x[i]
@@ -166,11 +166,12 @@ class TestCoverageScreen:
     def test_marks_inside_and_not_at_threshold(self):
         # min-l2 coefficients of (e1+e2)/2 over I3 have l1 norm 1; of e1+e2, 2
         x = np.array([[0.5, 0.5, 0.0], [1.0, 1.0, 0.0]])
-        assert spanner._coverage_screen(x, I3, 4.0).tolist() == [True, False]
+        assert spanner._coverage_screen(x, I3, linalg.gram_schmidt(I3),
+                                        4.0).tolist() == [True, False]
 
     def test_out_of_span_never_marked(self):
         x = np.array([[1.0, 0.0, 1e-6]])
-        assert not spanner._coverage_screen(x, I3[:2], 1e6)[0]
+        assert not spanner._coverage_screen(x, I3[:2], linalg.gram_schmidt(I3[:2]), 1e6)[0]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_screen_only_saves_lps(self, seed, monkeypatch):
@@ -184,15 +185,46 @@ class TestCoverageScreen:
                   VectorSet(np.vstack([plane, rng.standard_normal((50, 8))])),
                   VectorSet(scaled)]
         alpha = default_alpha(8)
+        screen = spanner._coverage_screen
+        frames = 0
+
+        def frame_checked(x, u, basis, alpha):
+            # the build's frame: orthonormal rows that span U
+            nonlocal frames
+            frames += 1
+            assert np.max(np.abs(basis @ basis.T - np.eye(len(basis)))) <= 1e-12
+            for row in u:
+                c = np.linalg.lstsq(basis.T, row, rcond=None)[0]
+                assert np.linalg.norm(basis.T @ c - row) <= 1e-9 * np.linalg.norm(row)
+            return screen(x, u, basis, alpha)
+
         for vs in inputs:
+            monkeypatch.setattr(spanner, "_coverage_screen", frame_checked)
             with_screen = build_d_spanner(vs, alpha)
             monkeypatch.setattr(spanner, "_coverage_screen",
-                                lambda x, u, alpha: np.zeros(len(x), dtype=bool))
+                                lambda x, u, basis, alpha: np.zeros(len(x), dtype=bool))
             without = build_d_spanner(vs, alpha)
             monkeypatch.undo()
             assert with_screen.indices == without.indices
-            assert all(np.array_equal(p, q) for p, q in
-                       zip(with_screen.witnesses, without.witnesses))
+            assert np.array_equal(with_screen.dspanner_witnesses,
+                                  without.dspanner_witnesses)
+        assert frames >= len(inputs)
+
+    def test_build_makes_no_frame_of_its_own(self, monkeypatch):
+        # the screen reads the build's frame; no gram_schmidt call is left in
+        # a d-spanner build, nor in the capped builds and greedy solve of the
+        # lower-bound experiment (made before the patch: random_rotation
+        # orthonormalizes with gram_schmidt)
+        x = unit_rows(np.random.default_rng(0), 150, 8)
+        hard = hardgen.gen_hard_instance(8, 1.0, 1e6, 0, n_override=48)
+        inst = hardgen.gen_hard_instance(12, 1.0, 1e6, 3, n_override=96)
+
+        def refuse(vs):
+            raise AssertionError("gram_schmidt called")
+        monkeypatch.setattr(linalg, "gram_schmidt", refuse)
+        for vs in [VectorSet(x), *hard.x_sets]:
+            assert check_witness_dominance(build_d_spanner(vs, default_alpha(8)))[0]
+        assert hardgen.lowerbound_experiment(inst, 12).objective > 0.0
 
     def test_screen_sees_only_uncovered_rows_in_span(self, monkeypatch):
         x = unit_rows(np.random.default_rng(0), 150, 8)
@@ -200,13 +232,13 @@ class TestCoverageScreen:
         received: list[np.ndarray] = []
         covered: list[np.ndarray] = []  # marked by the screen or by the LP
 
-        def wrapped(rows, u, alpha):
+        def wrapped(rows, u, basis, alpha):
             for row in rows:
                 assert not any(np.array_equal(row, seen) for seen in [*u, *covered])
                 c = np.linalg.lstsq(u.T, row, rcond=None)[0]
                 resid = np.linalg.norm(u.T @ c - row)
                 assert resid <= spanner.NOT_IN_SPAN_REL * np.linalg.norm(row)
-            out = screen(rows, u, alpha)
+            out = screen(rows, u, basis, alpha)
             received.append(rows)
             covered.extend(rows[out])
             return out
@@ -478,7 +510,7 @@ class TestBuildKSpanner:
     def test_orthonormal_k1_trace_domination(self):
         d = 8
         sp = build_k_spanner(VectorSet(np.eye(d)), 1)
-        m = sp.params.resolve_m(1, d)
+        m = SpannerParams().resolve_m(1, d)
         assert sp.size <= m
         mix = sp.vectors.T @ sp.vectors / sp.size
         alpha = 32.0
@@ -494,7 +526,41 @@ class TestBuildKSpanner:
         # the projected d-spanner stage ran; its picks may coincide with the
         # volume stage, but the trace records them
         assert len(sp.dspanner_vectors) > 0
-        assert sp.params.resolve_m(2, 16) == 12
+        assert SpannerParams().resolve_m(2, 16) == 12
+
+    @pytest.mark.parametrize("alpha", [None, 10.0])
+    def test_record_lists_volume_picks_then_new_d_stage_picks(self, alpha):
+        # at the default alpha every d-stage pick repeats a volume pick; at
+        # alpha 10 the d stage also picks 5 new rows
+        d, k = 16, 2
+        x = unit_rows(np.random.default_rng(0), 300, d)
+        sp = build_k_spanner(VectorSet(x), k, SpannerParams(alpha=alpha))
+        m = SpannerParams().resolve_m(k, d)
+        # volume greedy takes the largest residual against its picks, ties
+        # (relative 1e-9) to the lowest index
+        vol: list[int] = []
+        for _ in range(m):
+            resid = x.copy()
+            if vol:
+                q = np.linalg.qr(x[vol].T)[0]
+                resid -= (x @ q) @ q.T
+            norms = np.linalg.norm(resid, axis=1)
+            vol.append(int(np.flatnonzero(norms >= norms.max() * (1.0 - 1e-9))[0]))
+        # the d-stage trace in pick order, by label (input rows are distinct)
+        trace = [int(np.flatnonzero(np.all(x == row, axis=1))[0])
+                 for row in sp.dspanner_vectors]
+        new = [lbl for lbl in trace if lbl not in vol]
+        assert len(set(trace)) == len(trace) and len(new) < len(trace)
+        assert sp.indices == vol + new
+        assert sp.stage_tags == ["volume_greedy"] * m + ["d_spanner"] * len(new)
+        assert np.array_equal(sp.vectors, x[sp.indices])
+        assert np.array_equal(sp.dspanner_vectors, x[trace])
+        # each lifted witness dominates its pick over the earlier trace rows
+        u, w = sp.dspanner_vectors, sp.dspanner_witnesses
+        assert w.shape == u.shape
+        for i in range(len(u)):
+            bound = abs(float(u[i] @ w[i])) / math.sqrt(sp.alpha) * (1.0 + 1e-9)
+            assert np.all(np.abs(u[:i] @ w[i]) <= bound)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e170])
     def test_uniform_scale_keeps_picks(self, scale):
@@ -505,11 +571,6 @@ class TestBuildKSpanner:
         sp = build_k_spanner(VectorSet(scale * x), 2)
         assert sp.indices == ref.indices
         assert verify_k_spanner(VectorSet(scale * x), sp, 2, sp.alpha)
-
-    def test_m_override(self, rng):
-        x = unit_rows(rng, 100, 10)
-        sp = build_k_spanner(VectorSet(x), 2, SpannerParams(m_override=7))
-        assert sum(t == "volume_greedy" for t in sp.stage_tags) == 7
 
 
 class TestVerifyKSpanner:
