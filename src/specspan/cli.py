@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 bad flags, 3 generation/guard failure or a build the
-LP could not finish, 4 verification failure (also when a verifier's LP could
-not finish).  stdout carries machine-readable JSON only; human messages go to
-stderr.  Every command honors --seed for bit-exact reproducibility of all
-non-timing fields.
+Exit codes: 0 success, 2 bad flags or a malformed input file, 3 generation/
+guard failure or a build the LP could not finish, 4 verification failure (also
+when a verifier's LP could not finish); unreadable input or unwritable output:
+2.  `main` maps what a command raises to its exit code by one table, FAILURES.
+stdout carries machine-readable JSON only; human messages go to stderr.  Every
+command honors --seed for bit-exact reproducibility of all non-timing fields.
 """
 
 from __future__ import annotations
@@ -30,6 +31,14 @@ EXIT_VERIFY = 4
 
 SOLVERS = [s.value for s in Solver]
 LP_FAILURES = (Infeasible, Unbounded, NotInSpan)  # an LP that could not finish
+
+# (exception types, exit code, stderr line); the first matching entry wins
+FAILURES = [
+    ((FormatError, BadPartColumn, OSError), EXIT_USAGE, "{exc}"),
+    ((detmax.TooLarge, detmax.Degenerate), EXIT_GENERATION, "guard: {exc}"),
+    (LP_FAILURES, EXIT_GENERATION, "build failed: {name}: {exc}"),
+    ((ValueError,), EXIT_USAGE, "{exc}"),
+]
 
 
 def _report(config: dict, timings_ms: dict, **fields) -> dict:
@@ -71,22 +80,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_spanner(args) -> int:
-    try:
-        vs, _, _ = read_vector_file(args.input)
-    except FormatError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    vs, _, _ = read_vector_file(args.input)
     k = args.k if args.k is not None else vs.dim
     params = SpannerParams(alpha=args.alpha, alpha_scale=args.alpha_scale)
     t0 = time.perf_counter()
-    try:
-        sp = build_k_spanner(vs, k, params=params)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except LP_FAILURES as exc:
-        print(f"build failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
+    sp = build_k_spanner(vs, k, params=params)
     t_build = time.perf_counter()
     verdict = "skipped"
     ok = True
@@ -126,20 +124,9 @@ def _cmd_spanner(args) -> int:
 
 
 def _cmd_detmax(args) -> int:
-    try:
-        vs, _, _ = read_vector_file(args.input)
-    except FormatError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    vs, _, _ = read_vector_file(args.input)
     t0 = time.perf_counter()
-    try:
-        sol = solve(vs, args.k, Solver(args.method), args.trials, args.seed)
-    except (detmax.TooLarge, detmax.Degenerate) as exc:
-        print(f"guard: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    sol = solve(vs, args.k, Solver(args.method), args.trials, args.seed)
     elapsed = (time.perf_counter() - t0) * 1e3
     report = _report({
         "command": "detmax", "input": args.input, "k": args.k,
@@ -151,36 +138,18 @@ def _cmd_detmax(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    try:
-        vs, part_ids, metadata = read_vector_file(args.input)
-    except FormatError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if part_ids is not None and args.parts is None:
-            pinput = partition(vs, int(part_ids.max()) + 1,
-                               PartitionScheme.FROM_FILE, part_ids=part_ids)
-        elif args.parts is not None:
-            scheme = PartitionScheme.ROUND_ROBIN if args.scheme == "rr" else PartitionScheme.HASH
-            pinput = partition(vs, args.parts, scheme, seed=args.seed)
-        else:
-            pinput = PartitionedInput([vs])
-    except (BadPartColumn, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    vs, part_ids, metadata = read_vector_file(args.input)
+    if part_ids is not None and args.parts is None:
+        pinput = partition(vs, int(part_ids.max()) + 1,
+                           PartitionScheme.FROM_FILE, part_ids=part_ids)
+    elif args.parts is not None:
+        scheme = PartitionScheme.ROUND_ROBIN if args.scheme == "rr" else PartitionScheme.HASH
+        pinput = partition(vs, args.parts, scheme, seed=args.seed)
+    else:
+        pinput = PartitionedInput([vs])
     params = SpannerParams(alpha=args.alpha, alpha_scale=args.alpha_scale)
-    try:
-        report = run_pipeline(pinput, args.k, params=params, solver=Solver(args.solver),
-                              seed=args.seed, trials=args.trials)
-    except (detmax.TooLarge, detmax.Degenerate) as exc:
-        print(f"guard: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except LP_FAILURES as exc:
-        print(f"build failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    report = run_pipeline(pinput, args.k, params=params, solver=Solver(args.solver),
+                          seed=args.seed, trials=args.trials)
     out = report.to_dict()
     if "planted" in metadata:
         planted = [int(tok) for tok in metadata["planted"].split(",") if tok]
@@ -249,10 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "alpha", None) is not None and not args.alpha >= 1.0:
-        print("--alpha must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for types, code, line in FAILURES:
+            if isinstance(exc, types):
+                print(line.format(exc=exc, name=type(exc).__name__), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -48,18 +48,21 @@ def read_vector_file(path: str) -> tuple[VectorSet, np.ndarray | None, dict]:
     """Returns (vectors, part ids or None, metadata from header comments)."""
     metadata: dict[str, str] = {}
     rows: list[list[str]] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
-                    metadata[key.strip()] = value.strip()
-                continue
-            rows.append(line.split(","))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if ":" in body:
+                        key, _, value = body.partition(":")
+                        metadata[key.strip()] = value.strip()
+                    continue
+                rows.append(line.split(","))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if not rows:
         raise FormatError(f"{path}: no data rows")
     width = len(rows[0])

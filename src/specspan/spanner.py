@@ -25,7 +25,6 @@ from .vectorset import VectorSet, as_matrix, as_vector_set
 ZERO_NORM_REL = 1e-12        # a row this far below the largest row norm is zero
 SCREEN_SLACK = 1e-6          # safety margin of the l1 coverage pre-screen
 SPAN_RESIDUAL_REL = 1e-9     # in-span test for the pre-screen
-CERT_SLACK = 1e-6            # certificate passes when delta >= 1/alpha - this
 NOT_IN_SPAN_REL = 1e-7
 DOMINANCE_TOL = 1e-9
 
@@ -85,7 +84,9 @@ class CoverageCertificate:
     status: str = "pass"                   # "pass" | "fail"
 
     def passes(self, alpha: float) -> bool:
-        return self.delta >= 1.0 / alpha - CERT_SLACK
+        """The coverage rule of every verifier: delta = 1/||c||_1^2 against
+        cover_threshold(alpha)^2."""
+        return self.delta >= cover_threshold(alpha) ** 2
 
 
 def _nonzero_rows(x: np.ndarray) -> np.ndarray:
@@ -214,26 +215,15 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None) -> Spanner:
 
 
 def check_witness_dominance(sp: Spanner, tol: float = DOMINANCE_TOL) -> tuple[bool, float]:
-    """|<u_j, x_i>| <= <u_i, x_i>/sqrt(alpha) for all j < i over d-stage picks."""
+    """|<u_j, x_i>| <= |<u_i, x_i>|/sqrt(alpha) for all j < i over d-stage picks."""
     u = sp.dspanner_vectors
-    xs = sp.dspanner_witnesses
-    worst = -math.inf
-    ok = True
-    sqrt_a = math.sqrt(sp.alpha)
-    for i in range(len(u)):
-        xi = xs[i]
-        diag = float(np.dot(u[i], xi))
-        if diag < 0.0:
-            xi = -xi
-            diag = -diag
-        bound = diag / sqrt_a
-        if i:
-            off = float(np.max(np.abs(u[:i] @ xi)))
-            slack = off - bound
-            worst = max(worst, slack)
-            if slack > tol * max(1.0, bound):
-                ok = False
-    return ok, (worst if worst > -math.inf else 0.0)
+    slacks, ok = [], True
+    for i in range(1, len(u)):
+        xi = sp.dspanner_witnesses[i]
+        bound = abs(float(u[i] @ xi)) / math.sqrt(sp.alpha)
+        slacks.append(float(np.max(np.abs(u[:i] @ xi))) - bound)
+        ok = ok and not slacks[-1] > tol * max(1.0, bound)
+    return ok, max(slacks, default=0.0)
 
 
 def verify_weak(vs, sp, alpha: float) -> tuple[bool, tuple[int, np.ndarray] | None]:
@@ -302,8 +292,9 @@ def _certificate(c: np.ndarray, alpha: float, vector_index: int = -1,
     l1 = float(np.sum(c))
     delta = min(1.0, 1.0 / l1 ** 2)
     support = [(labels[j], float(c[j] / l1)) for j in np.flatnonzero(c)]
-    return CoverageCertificate(vector_index, support, delta,
-                               "pass" if delta >= 1.0 / alpha - CERT_SLACK else "fail")
+    cert = CoverageCertificate(vector_index, support, delta)
+    cert.status = "pass" if cert.passes(alpha) else "fail"
+    return cert
 
 
 def strong_certificate(v, spanner_vectors, alpha: float,
@@ -316,7 +307,8 @@ def strong_certificate(v, spanner_vectors, alpha: float,
     Cauchy-Schwarz gives delta = 1/||c||_1^2 (capped at 1).  The support
     lists the spanner vectors with p_j > 0; an exact member of U gets a point
     mass on its first copy, and v = 0 the uniform distribution.  Status is
-    "pass" when delta >= 1/alpha - CERT_SLACK and "fail" otherwise.
+    "pass" when delta >= cover_threshold(alpha)^2, the rule of every verifier,
+    and "fail" otherwise.
     """
     check_alpha(alpha)
     u = as_matrix(spanner_vectors)

@@ -71,6 +71,12 @@ class TestVectorFile:
         with pytest.raises(FormatError):
             read_vector_file(str(path))
 
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"1.0,2.0\n\xff\xfe,1.0\n")
+        with pytest.raises(FormatError, match="binary.csv: not UTF-8"):
+            read_vector_file(str(path))
+
     def test_scientific_notation_parses(self, tmp_path):
         path = tmp_path / "sci.csv"
         path.write_text("1e-3,2.5E+2\n-1.25e0,0.0\n")
@@ -419,6 +425,50 @@ class TestCli:
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == ""
         assert "alpha" in err
+
+    @pytest.mark.parametrize("case", ["missing-input", "directory-input",
+                                      "undecodable-input", "spanner-out",
+                                      "spanner-indices-out", "detmax-out",
+                                      "pipeline-report", "gen-out"])
+    def test_file_error_exit_2(self, tmp_path, capsys, case):
+        # an unreadable input or unwritable output is exit 2 with one stderr
+        # line that names the file
+        data = str(tmp_path / "s.csv")
+        write_vector_file(data, VectorSet(np.eye(3)))
+        (tmp_path / "binary.csv").write_bytes(b"\xff\xfe1,0\n")
+        missing = str(tmp_path / "missing.csv")
+        unwritable = str(tmp_path / "no-such-dir" / "out")
+        path, args = {
+            "missing-input": (missing, ["spanner", "--input", missing]),
+            "directory-input": (str(tmp_path), ["detmax", "--input", str(tmp_path),
+                                                "--k", "2"]),
+            "undecodable-input": (str(tmp_path / "binary.csv"),
+                                  ["pipeline", "--input", str(tmp_path / "binary.csv"),
+                                   "--k", "1"]),
+            "spanner-out": (unwritable, ["spanner", "--input", data, "--out", unwritable]),
+            "spanner-indices-out": (unwritable, ["spanner", "--input", data,
+                                                 "--indices-out", unwritable]),
+            "detmax-out": (unwritable, ["detmax", "--input", data, "--k", "2",
+                                        "--out", unwritable]),
+            "pipeline-report": (unwritable, ["pipeline", "--input", data, "--k", "2",
+                                             "--report", unwritable]),
+            "gen-out": (unwritable, ["gen", "sphere", "--d", "2", "--n", "3",
+                                     "--out", unwritable]),
+        }[case]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and path in err
+
+    @pytest.mark.parametrize("command", ["spanner", "pipeline"])
+    def test_alpha_below_one_meets_the_one_alpha_rule(self, tmp_path, capsys, command):
+        # lp.check_alpha's ValueError is the one message for alpha < 1 (exit 2)
+        data = str(tmp_path / "s.csv")
+        write_vector_file(data, VectorSet(np.eye(3)))
+        code, out, err = run_cli([command, "--input", data, "--k", "2",
+                                  "--alpha", "0.5"], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["alpha must be finite and >= 1"]
 
     def test_console_script_smoke(self, tmp_path):
         out = tmp_path / "s.csv"

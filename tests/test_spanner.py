@@ -113,6 +113,16 @@ class TestBuildDSpanner:
             ok, worst = check_witness_dominance(sp)
             assert ok, f"dominance slack {worst}"
 
+    def test_witness_dominance_ignores_witness_signs(self, rng):
+        # a witness and its negation certify the same dominance, and a lone
+        # pick has nothing to dominate
+        sp = build_d_spanner(VectorSet(unit_rows(rng, 80, 6)), default_alpha(6))
+        flipped = dataclasses.replace(sp, dspanner_witnesses=-sp.dspanner_witnesses)
+        assert check_witness_dominance(flipped) == check_witness_dominance(sp)
+        lone = dataclasses.replace(sp, dspanner_vectors=sp.dspanner_vectors[:1],
+                                   dspanner_witnesses=sp.dspanner_witnesses[:1])
+        assert check_witness_dominance(lone) == (True, 0.0)
+
     def test_size_bound_random_sphere(self, rng):
         for d in (4, 8):
             x = unit_rows(rng, 300, d)
@@ -392,6 +402,27 @@ class TestStrongCertificate:
             assert quad == pytest.approx(1.0 / cert.delta, rel=1e-9)
         margin = domination_check(v, u, 4.0).margin
         assert margin == pytest.approx(1.0 / ref, rel=1e-9)
+
+    @pytest.mark.parametrize("u, v, alpha", [
+        (np.eye(2), (1.0 + 1e-6) * np.array([1.0, 1.0]), 4.0),
+        (np.array([[1.0, 0.0], [1.0, 1e-4]]), E2, 1e6),
+    ], ids=["just-outside", "large-alpha"])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_one_coverage_rule_for_every_verifier(self, u, v, alpha, above):
+        # U is square and invertible, so c = pinv(U^T) v is the one
+        # representation and v is covered exactly when alpha >= ||c||_1^2;
+        # all three verifiers must give that verdict just below and just
+        # above the needed alpha
+        need = float(np.sum(np.abs(np.linalg.pinv(u.T) @ v))) ** 2
+        if above:
+            alpha = need * (1.0 + 1e-6)
+        covered = alpha >= need
+        assert covered == above
+        cert = strong_certificate(v, u, alpha)
+        assert cert.passes(alpha) == covered
+        assert cert.status == ("pass" if covered else "fail")
+        assert verify_weak(VectorSet(v[None, :]), u, alpha)[0] == covered
+        assert domination_check(v, u, alpha).covered == covered
 
     def test_weak_implies_strong(self, rng):
         # every vector of a built spanner's input earns a passing certificate
