@@ -11,6 +11,7 @@ command honors --seed for bit-exact reproducibility of all non-timing fields.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -48,15 +49,11 @@ def _report(config: dict, timings_ms: dict, **fields) -> dict:
 
 def _cmd_gen(args) -> int:
     try:
-        if args.kind == "sphere":
-            vs = hardgen.sample_sphere(args.n, args.d, args.seed)
+        if args.kind in ("sphere", "pm1"):
+            vs = (hardgen.sample_sphere(args.n, args.d, args.seed) if args.kind == "sphere"
+                  else hardgen.gen_pm1_lowerbound(args.d, args.n, args.seed))
             write_vector_file(args.out, vs, metadata={
-                "kind": "sphere", "d": args.d, "n": args.n, "seed": args.seed,
-            })
-        elif args.kind == "pm1":
-            vs = hardgen.gen_pm1_lowerbound(args.d, args.n, args.seed)
-            write_vector_file(args.out, vs, metadata={
-                "kind": "pm1", "d": args.d, "n": args.n, "seed": args.seed,
+                "kind": args.kind, "d": args.d, "n": args.n, "seed": args.seed,
             })
         else:
             inst = hardgen.gen_hard_instance(
@@ -77,6 +74,26 @@ def _cmd_gen(args) -> int:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
     return EXIT_OK
+
+
+def _write_files(texts: dict) -> None:
+    """Write each text to its path, opening every path before writing any.
+    Paths open without truncation, and when one cannot be opened those created
+    here are removed again: no file has changed when the error goes on."""
+    opened = []
+    try:
+        for path in texts:
+            opened.append((path, os.path.exists(path), open(path, "a")))
+    except OSError:
+        for path, existed, fh in opened:
+            fh.close()
+            if not existed:
+                os.remove(path)
+        raise
+    for (_, _, fh), text in zip(opened, texts.values()):
+        with fh:
+            fh.truncate(0)
+            fh.write(text)
 
 
 def _cmd_spanner(args) -> int:
@@ -110,12 +127,9 @@ def _cmd_spanner(args) -> int:
         "build": (t_build - t0) * 1e3,
         "verify": (t_verify - t_build) * 1e3,
     })
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report_json(report))
-    if args.indices_out:
-        with open(args.indices_out, "w") as fh:
-            fh.write("\n".join(str(i) for i in sp.indices) + "\n")
+    indices = "\n".join(str(i) for i in sp.indices) + "\n"
+    _write_files({path: text for path, text in ((args.out, report_json(report)),
+                                                (args.indices_out, indices)) if path})
     print(report_json({"size": sp.size, "verdict": verdict}), end="")
     if args.verify != "none" and not ok:
         print(reason, file=sys.stderr)

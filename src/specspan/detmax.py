@@ -7,8 +7,9 @@ fractional solutions, and the D/E/A design objectives with their shared
 
 Every subset value comes from one scorer: CHUNK index sets at a time, by one
 stacked Cholesky of their Gram matrices.  Both relaxations run one
-Frank-Wolfe loop that steers by each iterate's Cholesky factor; design
-iterates are scored DESIGN_BLOCK at a time by one stacked Jacobi.
+Frank-Wolfe loop that decomposes each iterate once and reads from that one
+decomposition both the iterate's value and its step; the loop keeps the
+best iterate itself.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .vectorset import as_vector_set
 
 BRUTE_GUARD = 10**7
 CHUNK = 4096                  # subsets scored per stacked Cholesky
-DESIGN_BLOCK = 64             # design iterates scored per stacked Jacobi
 SWAP_IMPROVE = 1e-9           # accept a swap only above this relative gain
 FW_DETMAX_ITERS = 1000
 FW_DETMAX_REL = 1e-9
@@ -181,7 +181,8 @@ def fractional_detmax(vs, k: int | None = None,
 
     Implemented for k = d only (the log-det gradient v^T A^{-1} v is exact);
     seeded from the greedy/local-search support with unit mass per pick so the
-    best iterate can never fall below the best integral solution found.
+    best iterate can never fall below the best integral solution found.  The
+    run stops once the log-det moves by less than FW_DETMAX_REL of itself.
     """
     v = as_vector_set(vs)
     x = v.vectors
@@ -198,16 +199,7 @@ def fractional_detmax(vs, k: int | None = None,
     for lbl in seed.indices:
         s[label_pos[lbl]] += d / k  # = 1 for k = d
     eps = EPS_RIDGE_REL * float(np.max(np.einsum("ij,ij->i", x, x)))
-    steps = _frank_wolfe(x, s, d, iters, DesignObjective.D, ridge=eps)
-    best_s, low = next(steps)
-    best_logdet = logdet = linalg.logdet_spd(low)
-    for s, low in steps:
-        new_logdet = linalg.logdet_spd(low)
-        if new_logdet > best_logdet:
-            best_s, best_logdet = s, new_logdet
-        if abs(new_logdet - logdet) < FW_DETMAX_REL * max(abs(logdet), 1e-300):
-            break
-        logdet = new_logdet
+    best_s = _frank_wolfe(x, s, d, iters, DesignObjective.D, ridge=eps, stop_rel=FW_DETMAX_REL)
     return FractionalSolution(best_s, float(d))
 
 
@@ -256,30 +248,23 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
     return RoundingResult(best, mean, std, trials)
 
 
-def _design_values(w: np.ndarray, obj: DesignObjective) -> np.ndarray:
-    """f at each row of eigenvalues `w` (b, d), sorted descending; +inf when singular."""
+def _design_value(w: np.ndarray, obj: DesignObjective) -> float:
+    """f at the eigenvalues `w` of A, sorted descending; +inf when A is singular."""
     lam = np.maximum(w, 0.0)
-    lam_max = lam[:, 0]
-    ok = (lam_max > 0.0) & (lam[:, -1] > 1e-12 * lam_max)
-    lam, d = lam[ok], w.shape[1]
-    vals = np.full(len(w), math.inf)
+    if not lam[-1] > 1e-12 * lam[0]:
+        return math.inf
     if obj is DesignObjective.D:
         # math.exp, not np.exp: the two can differ in the last bit
-        vals[ok] = [math.exp(-s / d) for s in np.sum(np.log(lam), axis=1)]
-    elif obj is DesignObjective.E:
-        vals[ok] = 1.0 / lam[:, -1]
-    else:
-        vals[ok] = np.sum(1.0 / lam, axis=1) / d
-    return vals
+        return math.exp(-float(np.sum(np.log(lam))) / len(lam))
+    if obj is DesignObjective.E:
+        return float(1.0 / lam[-1])
+    return float(np.sum(1.0 / lam) / len(lam))
 
 
-def eval_design(vs, obj: DesignObjective, weights=None,
-                indices=None) -> float | np.ndarray:
+def eval_design(vs, obj: DesignObjective, weights=None, indices=None) -> float:
     """f(sum s_v vv^T) for the chosen design objective; +inf when singular.
 
-    `weights` is one weight vector or a stack (b, n) of them; a stack gives
-    an array of b values from one stacked sym_eig, each equal to the value of
-    its lone call.  `indices` are labels of the vector set.
+    `weights` is one weight vector; `indices` are labels of the vector set.
     """
     v = as_vector_set(vs)
     x = v.vectors
@@ -291,35 +276,45 @@ def eval_design(vs, obj: DesignObjective, weights=None,
         pos = [label_pos[int(i)] for i in indices]
         a = x[pos].T @ x[pos]
     elif weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim == 2:  # one product per member, so each has its lone call's bits
-            a = np.array([(x.T * s) @ x for s in w]).reshape(len(w), v.dim, v.dim)
-        else:
-            a = (x.T * w) @ x
+        a = (x.T * np.asarray(weights, dtype=np.float64)) @ x
     else:
         a = x.T @ x
-    eigenvalues = linalg.sym_eig(a).eigenvalues
-    vals = _design_values(np.atleast_2d(eigenvalues), obj)
-    return vals if eigenvalues.ndim == 2 else float(vals[0])
+    return _design_value(linalg.sym_eig(a).eigenvalues, obj)
 
 
 def _frank_wolfe(x: np.ndarray, s: np.ndarray, budget: float, iters: int,
-                 obj: DesignObjective, ridge: float = 0.0):
-    """Frank-Wolfe on A = sum s_v vv^T + ridge I, sum s = budget, step 2/(t+2):
-    yields (weights, Cholesky factor L of A) for the start `s` and after each
-    of `iters` steps, with fresh weights each step.  The vertex scores are
-    D ||L^-1 v||^2 = v^T A^-1 v, A ||L^-T L^-1 v||^2 = v^T A^-2 v, and
-    E <v, w>^2 with w the minimum eigenvector; E steps need no factor, so
-    they yield None for it."""
-    ridge_eye = ridge * np.eye(x.shape[1])
+                 obj: DesignObjective, ridge: float = 0.0,
+                 stop_rel: float = 0.0) -> np.ndarray:
+    """Frank-Wolfe on A = sum s_v vv^T + ridge I, sum s = budget, step 2/(t+2),
+    from the start `s` for `iters` steps; returns the weights of the iterate
+    of least value, the first one on ties.  Each iterate is decomposed once,
+    and that decomposition gives both its value and its step's vertex scores:
+    the Cholesky factor L for D (-log det A; ||L^-1 v||^2 = v^T A^-1 v) and A
+    (tr A^-1 = ||L^-1||_F^2; ||L^-T L^-1 v||^2 = v^T A^-2 v), sym_eig for E
+    (1/lambda_min; <v, w>^2 with w the minimum eigenvector).  A positive
+    `stop_rel` ends the run at the first iterate whose value moves by less
+    than stop_rel x the previous one."""
+    eye = np.eye(x.shape[1])
+    ridge_eye = ridge * eye
     a = (x.T * s) @ x + ridge_eye
+    best_s, best, prev = s, math.inf, math.nan  # the start has no previous value
     for t in range(1, iters + 2):
-        low = None if obj is DesignObjective.E else linalg.cholesky_spd(a)
-        yield s, low
-        if t > iters:
-            return
         if obj is DesignObjective.E:
-            scores = (x @ linalg.sym_eig(a).eigenvectors[:, -1]) ** 2
+            eig = linalg.sym_eig(a)
+            value = _design_value(eig.eigenvalues, obj)
+        elif (low := linalg.cholesky_spd(a)) is None:
+            value = math.inf
+        elif obj is DesignObjective.D:
+            value = -linalg.logdet_spd(low)
+        else:
+            value = float(np.sum(linalg.solve_lower(low, eye) ** 2))
+        if value < best:
+            best_s, best = s, value
+        if t > iters or abs(value - prev) < stop_rel * max(abs(prev), 1e-300):
+            break
+        prev = value
+        if obj is DesignObjective.E:
+            scores = (x @ eig.eigenvectors[:, -1]) ** 2
         elif low is None:
             raise ValueError("matrix is not positive definite")
         else:
@@ -332,17 +327,14 @@ def _frank_wolfe(x: np.ndarray, s: np.ndarray, budget: float, iters: int,
         s = s * (1.0 - gamma)
         s[q] += gamma * budget
         a = (1.0 - gamma) * a + (gamma * budget) * np.outer(x[q], x[q]) + gamma * ridge_eye
+    return best_s
 
 
 def fractional_design(vs, obj: DesignObjective, budget: float,
                       iters: int = FW_DESIGN_ITERS) -> FractionalSolution:
-    """Frank-Wolfe on the budgeted mass-allocation problem for a regular f.
-
-    _frank_wolfe from the uniform start (E's score is a subgradient; no
-    optimality claim).  Returns the best iterate, the first one on ties.
-    Iterates are scored DESIGN_BLOCK at a time by one stacked eval_design,
-    so beyond the vectors memory is one block whatever `iters` is.
-    """
+    """Frank-Wolfe on the budgeted mass-allocation problem for a regular f:
+    _frank_wolfe from the uniform start for all `iters` steps (E's score is a
+    subgradient; no optimality claim), returning its best iterate."""
     v = as_vector_set(vs)
     x = v.vectors
     n, d = x.shape
@@ -350,11 +342,5 @@ def fractional_design(vs, obj: DesignObjective, budget: float,
         raise ValueError(f"budget must be positive and finite (got {budget})")
     if linalg.gram_schmidt(x).shape[0] < d:
         raise Degenerate(f"rank(V) < d = {d}")
-    iterates = (s for s, _ in _frank_wolfe(x, np.full(n, budget / n), budget, iters, obj))
-    best_s, best_f = None, math.inf
-    while (block := np.array(list(islice(iterates, DESIGN_BLOCK)))).size:
-        f = eval_design(v, obj, weights=block)
-        i = int(np.argmin(f))
-        if best_s is None or f[i] < best_f:
-            best_s, best_f = block[i].copy(), float(f[i])  # not a view that holds the block
+    best_s = _frank_wolfe(x, np.full(n, budget / n), budget, iters, obj)
     return FractionalSolution(best_s, float(budget))

@@ -344,8 +344,6 @@ def det_gram(g) -> float | np.ndarray:
     return dets if m.ndim == 3 else float(dets[0])
 
 
-def logdet_spd(low: np.ndarray | None) -> float:
-    """log det A from A's Cholesky factor `low`; -inf when the factor failed (None)."""
-    if low is None:
-        return -math.inf
+def logdet_spd(low: np.ndarray) -> float:
+    """log det A from A's Cholesky factor `low`."""
     return 2.0 * float(np.sum(np.log(np.diag(low))))

@@ -129,7 +129,7 @@ def test_criterion_04_strong_certificates():
             certs = certify_all(vs, sp, alpha)
             total += len(certs)
             inconclusive += sum(not c.passes(alpha) for c in certs)
-    announce(4, "strong certificates delta >= 1/alpha - 1e-6",
+    announce(4, "strong certificates delta >= cover_threshold(alpha)^2",
              inconclusive == 0, f"{total} certificates, {inconclusive} inconclusive")
 
 

@@ -420,24 +420,24 @@ class TestEvalDesign:
         vs = VectorSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
         assert eval_design(vs, DesignObjective.D, weights=np.ones(2)) == math.inf
 
-    def test_stack_members_are_lone_calls(self, rng):
+    def test_values_match_numpy(self, rng):
         x = rng.standard_normal((7, 3))
-        w = rng.uniform(0.0, 2.0, size=(6, 7))
-        w[2, 2:] = 0.0  # rank two: +inf
-        for obj in DesignObjective:
-            values = eval_design(x, obj, weights=w)
-            assert values.shape == (6,) and values[2] == math.inf
-            lone = [eval_design(x, obj, weights=row) for row in w]
-            assert values.tobytes() == np.array(lone).tobytes()
-        assert eval_design(x, DesignObjective.D, weights=np.zeros((0, 7))).shape == (0,)
+        w = rng.uniform(0.5, 2.0, size=7)
+        lam = np.linalg.eigvalsh((x.T * w) @ x)
+        expect = {DesignObjective.D: float(np.prod(lam)) ** (-1 / 3),
+                  DesignObjective.E: 1.0 / float(lam[0]),
+                  DesignObjective.A: float(np.sum(1.0 / lam)) / 3}
+        for obj, value in expect.items():
+            assert eval_design(x, obj, weights=w) == pytest.approx(value, rel=1e-10)
 
     def test_d_values_use_math_exp(self, rng):
         # np.exp misses math.exp's last bit on a few percent of inputs
         x = rng.standard_normal((7, 3))
         w = rng.uniform(0.0, 2.0, size=(200, 7))
-        lams = linalg.sym_eig(np.array([(x.T * s) @ x for s in w])).eigenvalues
-        expect = [math.exp(-float(np.sum(np.log(lam))) / 3) for lam in lams]
-        assert eval_design(x, DesignObjective.D, weights=w).tolist() == expect
+        for s in w:
+            lam = linalg.sym_eig((x.T * s) @ x).eigenvalues
+            expect = math.exp(-float(np.sum(np.log(lam))) / 3)
+            assert eval_design(x, DesignObjective.D, weights=s) == expect
 
     def test_unknown_label_is_rejected(self, rng):
         vs = VectorSet(rng.standard_normal((8, 3)), labels=np.arange(100, 108))
@@ -493,13 +493,17 @@ class TestFractionalDesign:
             fractional_design(VectorSet(np.eye(3)), DesignObjective.D, budget)
 
 
-def design_by_lone_calls(x, obj, budget, iters):
+def design_by_lone_calls(x, obj, budget, iters, value=None):
     """fractional_design's Frank-Wolfe with numpy directions, scoring each
-    iterate by its own eval_design call; the first strict minimum wins."""
+    iterate s with A = sum s vv^T by value(s, A), by default its own
+    eval_design call; the first strict minimum wins."""
+    if value is None:
+        def value(s, a):
+            return detmax.eval_design(x, obj, weights=s)
     n = len(x)
     s = np.full(n, budget / n)
     a = (x.T * s) @ x
-    fs = [detmax.eval_design(x, obj, weights=s)]
+    fs = [value(s, a)]
     best_s, best_f = s.copy(), fs[0]
     for t in range(1, iters + 1):
         if obj is DesignObjective.E:
@@ -512,34 +516,59 @@ def design_by_lone_calls(x, obj, budget, iters):
         s *= 1.0 - gamma
         s[q] += gamma * budget
         a = (1.0 - gamma) * a + (gamma * budget) * np.outer(x[q], x[q])
-        fs.append(detmax.eval_design(x, obj, weights=s))
+        fs.append(value(s, a))
         if fs[-1] < best_f:
             best_s, best_f = s.copy(), fs[-1]
     return best_s, fs
 
 
-class TestDesignBlocks:
+class TestDesignBestIterate:
     @pytest.mark.parametrize("obj", list(DesignObjective))
-    @pytest.mark.parametrize("block", [1, 4, detmax.DESIGN_BLOCK])
-    def test_matches_lone_scoring(self, monkeypatch, obj, block):
-        monkeypatch.setattr(detmax, "DESIGN_BLOCK", block)
-        x = np.random.default_rng(31).standard_normal((9, 3))
+    @pytest.mark.parametrize("row_norms", ["gaussian", "spread", "extreme"])
+    def test_matches_lone_scoring(self, obj, row_norms):
+        # the loop scores each iterate from its own factor or eigenvalues; the
+        # pick must be the one that lone eval_design calls make, also when the
+        # rows are scaled by e^u, u uniform on [-4, 4] or u = +-4
+        gen = np.random.default_rng(31)
+        x = gen.standard_normal((9, 3))
+        if row_norms == "spread":
+            x *= np.exp(gen.uniform(-4.0, 4.0, size=(9, 1)))
+        elif row_norms == "extreme":
+            x *= np.exp(gen.choice([-4.0, 4.0], size=(9, 1)))
         for iters in (0, 3, 41):
             ref, _ = design_by_lone_calls(x, obj, 6.0, iters)
             got = fractional_design(x, obj, 6.0, iters=iters).weights
             assert got.tobytes() == ref.tobytes()
-            assert got.base is None  # not a view that keeps a whole block alive
+            assert got.base is None  # not a view that keeps other weights alive
 
-    def test_tie_across_block_boundary_keeps_first(self, monkeypatch):
-        # values rounded to 0.1 tie from some iterate on; blocks of 4 split the tie
-        real = detmax.eval_design
-        monkeypatch.setattr(detmax, "eval_design", lambda *a, **kw: np.round(real(*a, **kw), 1))
-        monkeypatch.setattr(detmax, "DESIGN_BLOCK", 4)
+    @pytest.mark.parametrize("obj", [DesignObjective.D, DesignObjective.A])
+    def test_ill_conditioned_iterates_are_scored(self, obj):
+        # A's condition number is about 1e14, past eval_design's 1e12 rule:
+        # scored by eigenvalues, every iterate read +inf and the uniform start
+        # came back; the loop scores each iterate from its Cholesky factor
+        x = np.random.default_rng(5).standard_normal((8, 3))
+        x[:, 2] *= 1e-7
+
+        def value(s):  # f by numpy
+            a = (x.T * s) @ x
+            return (math.exp(-np.linalg.slogdet(a)[1] / 3) if obj is DesignObjective.D
+                    else np.trace(np.linalg.inv(a)) / 3)
+
+        start = np.full(8, 6.0 / 8)
+        assert eval_design(x, obj, weights=start) == math.inf
+        got = fractional_design(x, obj, 6.0, iters=50).weights
+        assert value(got) < 0.7 * value(start)
+
+    def test_tie_keeps_the_first_minimum(self, monkeypatch):
+        # D values are log-dets rounded to 0.1, which tie from some iterate on
+        real = linalg.logdet_spd
+        monkeypatch.setattr(linalg, "logdet_spd", lambda low: round(real(low), 1))
         x = np.random.default_rng(32).standard_normal((9, 3))
-        ref, fs = design_by_lone_calls(x, DesignObjective.A, 6.0, 30)
-        first = fs.index(min(fs))
-        assert min(fs) in fs[(first // 4 + 1) * 4:]  # a later block ties the first minimum
-        got = fractional_design(x, DesignObjective.A, 6.0, iters=30).weights
+        ref, fs = design_by_lone_calls(
+            x, DesignObjective.D, 6.0, 30,
+            value=lambda s, a: -round(float(np.linalg.slogdet(a)[1]), 1))
+        assert fs.count(min(fs)) > 1  # a later iterate ties the first minimum
+        got = fractional_design(x, DesignObjective.D, 6.0, iters=30).weights
         assert got.tobytes() == ref.tobytes()
 
 

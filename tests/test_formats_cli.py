@@ -460,6 +460,37 @@ class TestCli:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and path in err
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_spanner_writes_no_output_when_one_cannot_be_opened(self, tmp_path, capsys,
+                                                                existing):
+        # --out is opened before --indices-out fails, yet no report is left
+        # behind, and a report already on disk keeps its bytes
+        data = str(tmp_path / "s.csv")
+        write_vector_file(data, VectorSet(np.eye(3)))
+        out = tmp_path / "rep.json"
+        if existing:
+            out.write_text("old report\n")
+        unwritable = str(tmp_path / "no-such-dir" / "idx.txt")
+        code, stdout, err = run_cli(["spanner", "--input", data, "--out", str(out),
+                                     "--indices-out", unwritable], capsys)
+        assert code == 2 and stdout == "" and unwritable in err
+        if existing:
+            assert out.read_text() == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["rep.json", "s.csv"] if existing else ["s.csv"])
+
+    def test_spanner_replaces_both_outputs(self, tmp_path, capsys):
+        data = str(tmp_path / "s.csv")
+        write_vector_file(data, VectorSet(np.eye(3)))
+        out, idx = tmp_path / "rep.json", tmp_path / "idx.txt"
+        out.write_text("x" * 5000)
+        idx.write_text("y" * 5000)
+        code, _, _ = run_cli(["spanner", "--input", data, "--out", str(out),
+                              "--indices-out", str(idx)], capsys)
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert idx.read_text() == "".join(f"{i}\n" for i in report["config"]["indices"])
+
     @pytest.mark.parametrize("command", ["spanner", "pipeline"])
     def test_alpha_below_one_meets_the_one_alpha_rule(self, tmp_path, capsys, command):
         # lp.check_alpha's ValueError is the one message for alpha < 1 (exit 2)
