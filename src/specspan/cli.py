@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 bad flags or a malformed input file, 3 generation/
-guard failure or a build the LP could not finish, 4 verification failure (also
-when a verifier's LP could not finish); unreadable input or unwritable output:
-2.  `main` maps what a command raises to its exit code by one table, FAILURES.
+guard failure, a build the LP could not finish or an internal failure (a
+breached iteration cap or postcondition), 4 verification failure (also when a
+verifier's LP could not finish); unreadable input or unwritable output: 2.
+`main` maps what a command raises to its exit code by one table, FAILURES.
 stdout carries machine-readable JSON only; human messages go to stderr.  Every
 command honors --seed for bit-exact reproducibility of all non-timing fields.
 """
@@ -39,6 +40,7 @@ FAILURES = [
     ((detmax.TooLarge, detmax.Degenerate), EXIT_GENERATION, "guard: {exc}"),
     (LP_FAILURES, EXIT_GENERATION, "build failed: {name}: {exc}"),
     ((ValueError,), EXIT_USAGE, "{exc}"),
+    ((RuntimeError,), EXIT_GENERATION, "internal failure: {exc}"),
 ]
 
 

@@ -42,6 +42,8 @@ def sample_sphere(count: int, dim: int, seed: int) -> VectorSet:
     """Unit vectors via normalized i.i.d. standard Gaussians."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     gen = generator(seed, "sphere")
     g = gen.standard_normal((count, dim))
     norms = np.sqrt(np.einsum("ij,ij->i", g, g))

@@ -1,13 +1,13 @@
 """Dense real linear algebra kernel.
 
-Jacobi symmetric eigendecomposition (of one matrix, or of a whole stack one
-rotation at a time), the exact power-of-two scale that brings a vector or a
-matrix's largest row near unit norm, Gram-Schmidt, orthogonal projection, the
-elementary-symmetric determinant det_k, the eigenvalue-tail order check
-between symmetric matrices, and a Cholesky factor (of one matrix, or of a
-whole stack one column step at a time) with forward and back substitution,
-solves, log-dets and Gram determinants for positive-definite systems; a
-stack member gets the bits of its lone call.
+Jacobi symmetric eigendecomposition of one matrix, the exact power-of-two
+scale that brings a vector or a matrix's largest row near unit norm,
+Gram-Schmidt, orthogonal projection, the elementary-symmetric determinant
+det_k, the eigenvalue-tail order check between symmetric matrices, and a
+Cholesky factor (of one matrix, or of a whole stack one column step at a
+time) with forward and back substitution, solves, log-dets and Gram
+determinants for positive-definite systems; a stack member gets the bits of
+its lone call.
 Factorization algorithms are implemented here directly on float64 arrays;
 numpy supplies array arithmetic only.
 
@@ -38,23 +38,18 @@ def as_vector(v) -> np.ndarray:
     return out
 
 
-def as_sym_matrix(a, stack: bool = False) -> np.ndarray:
-    """Validate and return an exactly-symmetric float64 copy of `a`, a square
-    matrix or, with `stack`, a stack (b, d, d) of them."""
+def as_sym_matrix(a) -> np.ndarray:
+    """Validate and return an exactly-symmetric float64 copy of the square matrix `a`."""
     m = np.array(a, dtype=np.float64)
-    if m.ndim != 2 + stack or m.shape[-1] != m.shape[-2]:
-        kind = "a stack (b, d, d) of square matrices" if stack else "a square matrix"
-        raise ValueError(f"expected {kind}, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    if m.size:
-        scale = np.max(np.abs(m), axis=(-2, -1))
-        skew = np.max(np.abs(m - m.swapaxes(-1, -2)), axis=(-2, -1))
-        if np.any(skew > 1e-8 * np.maximum(scale, 1.0)):
-            raise ValueError("matrix is not symmetric")
+    if m.size and np.max(np.abs(m - m.T)) > 1e-8 * max(np.max(np.abs(m)), 1.0):
+        raise ValueError("matrix is not symmetric")
     # mirror the upper triangle so symmetry is exact bit-for-bit
-    iu = np.triu_indices(m.shape[-1], k=1)
-    m[..., iu[1], iu[0]] = m[..., iu[0], iu[1]]
+    iu = np.triu_indices(m.shape[0], k=1)
+    m[iu[1], iu[0]] = m[iu]
     return m
 
 
@@ -72,24 +67,16 @@ class EigDecomp(NamedTuple):
 
 
 def sym_eig(a) -> EigDecomp:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix, or of each
-    matrix of a stack (b, d, d).
+    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
 
     Sweeps rotate every (p, q) pair in fixed order until the off-diagonal
-    Frobenius norm falls below EIG_OFFDIAG_REL * ||A||_F.  Deterministic.  A
-    stack runs the same sweeps over all its members at once (eigenvalues
-    (b, d), eigenvectors (b, d, d)); each member gets the bits of its lone call.
+    Frobenius norm falls below EIG_OFFDIAG_REL * ||A||_F.  Deterministic.
     """
-    if np.ndim(a) == 3:
-        m = as_sym_matrix(a, stack=True)
-        vecs = _jacobi_stack(m)
-    else:
-        m = as_sym_matrix(a)
-        vecs = _jacobi(m)
-    w = np.diagonal(m, axis1=-2, axis2=-1).copy()
-    order = np.argsort(-w, axis=-1, kind="stable")
-    return EigDecomp(np.take_along_axis(w, order, axis=-1),
-                     np.take_along_axis(vecs, order[..., None, :], axis=-1))
+    m = as_sym_matrix(a)
+    vecs = _jacobi(m)
+    w = np.diag(m).copy()
+    order = np.argsort(-w, kind="stable")
+    return EigDecomp(w[order], vecs[:, order])
 
 
 def _jacobi(m: np.ndarray) -> np.ndarray:
@@ -129,52 +116,6 @@ def _jacobi(m: np.ndarray) -> np.ndarray:
                 vecs[:, p] = c * vp - s * vq
                 vecs[:, q] = s * vp + c * vq
     if math.sqrt(2.0 * float(np.sum(np.triu(m, k=1) ** 2))) > target:
-        raise RuntimeError("Jacobi sweep cap breached; this is an internal failure")
-    return vecs
-
-
-def _jacobi_stack(m: np.ndarray) -> np.ndarray:
-    """_jacobi over a stack (b, d, d), one rotation at a time across the
-    members that take it; a converged or skipped member is not touched."""
-    b, d = m.shape[0], m.shape[-1]
-    vecs = np.broadcast_to(np.eye(d), m.shape).copy()
-
-    def off_norms() -> np.ndarray:
-        # summed over each member's d*d entries, as np.sum does for a lone matrix
-        return np.sqrt(2.0 * np.sum((np.triu(m, k=1) ** 2).reshape(b, d * d), axis=1))
-
-    target = EIG_OFFDIAG_REL * np.sqrt(np.sum((m * m).reshape(b, d * d), axis=1))
-    live = np.ones(b, dtype=bool)
-    for _ in range(EIG_SWEEP_CAP):
-        off = off_norms()
-        live &= off > target
-        if not live.any():
-            return vecs
-        skip = off / (d * d) * 1e-2
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                sel = np.flatnonzero(live & (np.abs(m[:, p, q]) > skip))
-                if not sel.size:
-                    continue
-                apq, app, aqq = m[sel, p, q], m[sel, p, p], m[sel, q, q]  # copies
-                with np.errstate(over="ignore"):  # tau * tau -> inf, as with Python floats
-                    tau = (aqq - app) / (2.0 * apq)
-                    # _jacobi's two branches in one: -1/x is -(1/x) exactly
-                    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                c_, s_ = c[:, None], s[:, None]
-                colp, colq = m[sel, :, p], m[sel, :, q]
-                m[sel, :, p] = m[sel, p, :] = c_ * colp - s_ * colq
-                m[sel, :, q] = m[sel, q, :] = s_ * colp + c_ * colq
-                m[sel, p, p] = app - t * apq
-                m[sel, q, q] = aqq + t * apq
-                m[sel, p, q] = 0.0
-                m[sel, q, p] = 0.0
-                vp, vq = vecs[sel, :, p], vecs[sel, :, q]
-                vecs[sel, :, p] = c_ * vp - s_ * vq
-                vecs[sel, :, q] = s_ * vp + c_ * vq
-    if np.any(live & (off_norms() > target)):
         raise RuntimeError("Jacobi sweep cap breached; this is an internal failure")
     return vecs
 

@@ -373,6 +373,7 @@ def build_k_spanner(vs, k: int, params: SpannerParams | None = None,
     frame.  Degenerates to a plain d-spanner when m <= 2k or m >= d (then
     A <= B already implies A <=_k B).  It lists the volume picks, then the
     new d-stage picks; each trace witness is lifted to ambient coordinates.
+    `max_size` caps both stages together (below 1: the empty spanner).
     """
     v = as_vector_set(vs)
     d = v.dim
@@ -380,11 +381,11 @@ def build_k_spanner(vs, k: int, params: SpannerParams | None = None,
         raise ValueError(f"k={k} out of range for dimension {d}")
     params = params or SpannerParams()
     m = params.resolve_m(k, d)
-    if m <= 2 * k or m >= d:
+    if m <= 2 * k or m >= d or (max_size is not None and max_size < 1):
         alpha = params.resolve_alpha(d)
         return build_d_spanner(v, alpha, max_size=max_size)
 
-    vol = volume_greedy(v, m)
+    vol = volume_greedy(v, m if max_size is None else min(m, max_size))
     basis = linalg.gram_schmidt(vol.vectors)
     alpha = params.resolve_alpha(len(basis))
     proj = VectorSet(v.vectors @ basis.T, v.labels)

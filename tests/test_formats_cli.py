@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specspan import cli
+from specspan import cli, linalg
 from specspan.formats import (FormatError, read_vector_file, report_json,
                               write_vector_file)
 from specspan.lp import Infeasible, Unbounded
@@ -143,6 +143,15 @@ class TestCli:
         assert code == 0
         vs, _, _ = read_vector_file(str(out))
         assert set(np.unique(vs.vectors)) <= {-1.0, 1.0}
+
+    @pytest.mark.parametrize("kind", ["sphere", "pm1"])
+    def test_gen_dim_zero_exit_3(self, tmp_path, capsys, kind):
+        # gen sphere --d 0 once hung in sample_sphere's redraw loop
+        out = tmp_path / "z.csv"
+        code, stdout, err = run_cli(["gen", kind, "--d", "0", "--n", "3",
+                                     "--out", str(out)], capsys)
+        assert code == 3 and stdout == ""
+        assert "generation failed" in err and not out.exists()
 
     def test_gen_pm1_failure_exit_3(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
@@ -278,6 +287,19 @@ class TestCli:
         code, out, err = run_cli([command, "--input", str(data), "--k", "3"], capsys)
         assert code == 3 and out == ""
         assert err.splitlines() == [f"build failed: {exc.__name__}: no finish"]
+
+    def test_breached_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a RuntimeError (an iteration cap or a postcondition) was re-raised
+        # out of main as a traceback
+        data = tmp_path / "s.csv"
+        write_vector_file(str(data), VectorSet(
+            np.random.default_rng(0).standard_normal((20, 6))))
+        monkeypatch.setattr(linalg, "EIG_SWEEP_CAP", 0)
+        code, out, err = run_cli(["spanner", "--input", str(data), "--k", "2",
+                                  "--verify", "k"], capsys)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [
+            "internal failure: Jacobi sweep cap breached; this is an internal failure"]
 
     @pytest.mark.parametrize("verify, name", [("weak", "verify_weak"),
                                               ("strong", "certify_all"),

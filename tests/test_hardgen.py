@@ -21,6 +21,12 @@ class TestSampleSphere:
         vs = sample_sphere(20, 1, seed=2)
         assert set(np.unique(vs.vectors)) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_dim_below_one(self, dim):
+        # at dim 0 every norm is 0, and the redraw loop once spun forever
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            sample_sphere(3, dim, seed=0)
+
     def test_deterministic(self):
         a = sample_sphere(10, 4, seed=3)
         b = sample_sphere(10, 4, seed=3)

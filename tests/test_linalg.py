@@ -44,13 +44,58 @@ class TestSymEig:
         w2, v2 = linalg.sym_eig(a)
         assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
-    def test_one_dimensional(self):
-        w, vecs = linalg.sym_eig(np.array([[4.0]]))
-        assert w[0] == 4.0 and vecs[0, 0] == 1.0
+    @pytest.mark.parametrize("value", [4.0, -2.0, 0.0])
+    def test_one_dimensional(self, value):
+        w, vecs = linalg.sym_eig(np.array([[value]]))
+        assert np.array_equal(w, [value]) and np.array_equal(vecs, [[1.0]])
+
+    @pytest.mark.parametrize("d", [2, 5, 12])
+    def test_zero_matrix(self, d):
+        w, vecs = linalg.sym_eig(np.zeros((d, d)))
+        assert np.array_equal(w, np.zeros(d)) and np.array_equal(vecs, np.eye(d))
+
+    @pytest.mark.parametrize("d", [2, 5, 12])
+    def test_large_rank_one(self, rng, d):
+        a = 1e6 * random_psd(rng, d, rank=1)
+        w, vecs = linalg.sym_eig(a)
+        norm_a = float(np.linalg.norm(a))
+        assert np.allclose(w, np.linalg.eigvalsh(a)[::-1], rtol=0.0, atol=1e-10 * norm_a)
+        assert np.linalg.norm((vecs * w) @ vecs.T - a) <= 1e-9 * norm_a
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(d)) <= 1e-9
+
+    def test_sweep_cap(self, rng, monkeypatch):
+        diag = np.diag([3.0, 1.0, 2.0])
+        single = np.diag([2.0, 4.0, 1.5])  # diagonal but for one 2x2 block
+        single[0, 1] = single[1, 0] = 0.7
+        monkeypatch.setattr(linalg, "EIG_SWEEP_CAP", 1)
+        linalg.sym_eig(diag)  # done within one sweep
+        linalg.sym_eig(single)
+        with pytest.raises(RuntimeError, match="sweep cap"):
+            linalg.sym_eig(random_psd(rng, 3))
+
+    def test_upper_triangle_is_mirrored(self, rng):
+        a = random_psd(rng, 4)
+        b = a.copy()
+        b[2, 0] += 1e-12  # within the symmetry tolerance
+        for got, want in zip(linalg.sym_eig(b), linalg.sym_eig(a)):
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not symmetric"):
             linalg.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, rng, bad):
+        a = random_psd(rng, 3)
+        a[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.sym_eig(a)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (0, 4, 4), (3, 4), (3,)])
+    def test_rejects_non_square_input(self, shape):
+        # one matrix at a time: a (b, d, d) stack is rejected like any other shape
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            linalg.sym_eig(np.zeros(shape))
 
 
 class TestDetK:
@@ -336,90 +381,6 @@ class TestStackedCholesky:
     def test_empty_matrices(self):
         assert linalg.det_gram(np.zeros((0, 0))) == 1.0
         assert np.array_equal(linalg.det_gram(np.zeros((3, 0, 0))), np.ones(3))
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def one_rotation(rng, d: int) -> np.ndarray:
-    """Diagonal but for one 2x2 block: one rotation diagonalizes it."""
-    a = np.diag(rng.uniform(1.0, 5.0, size=d))
-    a[0, 1] = a[1, 0] = 0.7
-    return a
-
-
-class TestStackedJacobi:
-    def assert_members_are_lone_calls(self, stack):
-        eig = linalg.sym_eig(stack)
-        assert eig.eigenvalues.shape == stack.shape[:2]
-        assert eig.eigenvectors.shape == stack.shape
-        for i, a in enumerate(stack):
-            w, vecs = linalg.sym_eig(a)
-            assert same_bits(eig.eigenvalues[i], w)
-            assert same_bits(eig.eigenvectors[i], vecs)
-
-    @pytest.mark.parametrize("d", [2, 3, 5, 12, 16])
-    def test_generic_members_are_lone_calls(self, rng, d):
-        # every member takes every rotation of the first sweep
-        self.assert_members_are_lone_calls(gram_stack(rng, 9, d, d + 2))
-
-    @pytest.mark.parametrize("d", [2, 5, 12])
-    def test_mixed_members_are_lone_calls(self, rng, d):
-        members = [random_psd(rng, d) - random_psd(rng, d),  # indefinite
-                   np.diag(rng.standard_normal(d)),          # already diagonal
-                   one_rotation(rng, d),
-                   np.zeros((d, d)),
-                   1e6 * random_psd(rng, d, rank=1),          # rank one, large
-                   1e-6 * random_psd(rng, d)]
-        a = random_psd(rng, d)
-        members.append(a + a[::-1, ::-1])                    # paired eigenvalues
-        self.assert_members_are_lone_calls(np.array(members))
-
-    def test_members_converge_at_different_sweeps(self, rng, monkeypatch):
-        diag, single, generic = np.diag([3.0, 1.0, 2.0]), one_rotation(rng, 3), random_psd(rng, 3)
-        stack = np.array([diag, single, generic])
-        self.assert_members_are_lone_calls(stack)
-        monkeypatch.setattr(linalg, "EIG_SWEEP_CAP", 1)
-        linalg.sym_eig(diag)  # done within one sweep
-        linalg.sym_eig(single)
-        with pytest.raises(RuntimeError, match="sweep cap"):
-            linalg.sym_eig(generic)
-        with pytest.raises(RuntimeError, match="sweep cap"):
-            linalg.sym_eig(stack)
-        self.assert_members_are_lone_calls(stack[:2])
-
-    def test_one_dimensional_members(self):
-        eig = linalg.sym_eig(np.array([[[4.0]], [[-2.0]], [[0.0]]]))
-        assert np.array_equal(eig.eigenvalues, [[4.0], [-2.0], [0.0]])
-        assert np.array_equal(eig.eigenvectors, np.ones((3, 1, 1)))
-
-    @pytest.mark.parametrize("d", [0, 4])
-    def test_empty_stack(self, d):
-        eig = linalg.sym_eig(np.zeros((0, d, d)))
-        assert eig.eigenvalues.shape == (0, d)
-        assert eig.eigenvectors.shape == (0, d, d)
-
-    def test_upper_triangle_is_mirrored(self, rng):
-        a = random_psd(rng, 4)
-        b = a.copy()
-        b[2, 0] += 1e-12  # within the symmetry tolerance
-        eig = linalg.sym_eig(np.array([b, a]))
-        assert same_bits(eig.eigenvalues[0], eig.eigenvalues[1])
-
-    def test_validates_every_member(self, rng):
-        a = random_psd(rng, 3)
-        skew = a.copy()
-        skew[0, 1] += 1.0
-        with pytest.raises(ValueError, match="not symmetric"):
-            linalg.sym_eig(np.array([a, skew]))
-        bad = a.copy()
-        bad[1, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            linalg.sym_eig(np.array([a, bad]))
-        with pytest.raises(ValueError, match="stack"):
-            linalg.sym_eig(np.zeros((2, 3, 4)))
 
 
 SPECTRUM_KINDS = ("clustered", "repeated", "wide")

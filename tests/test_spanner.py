@@ -593,6 +593,16 @@ class TestBuildKSpanner:
             bound = abs(float(u[i] @ w[i])) / math.sqrt(sp.alpha) * (1.0 + 1e-9)
             assert np.all(np.abs(u[:i] @ w[i]) <= bound)
 
+    @pytest.mark.parametrize("cap", [0, 1, 3, 5, 12, 14])
+    def test_max_size_cap(self, cap):
+        # m = 12 here, and caps below the volume stage once returned 12 rows
+        x = np.random.default_rng(0).standard_normal((60, 16))
+        full = build_k_spanner(VectorSet(x), 2)
+        sp = build_k_spanner(VectorSet(x), 2, max_size=cap)
+        assert SpannerParams().resolve_m(2, 16) == 12
+        assert sp.size == min(cap, full.size)
+        assert sp.indices == full.indices[:sp.size]
+
     @pytest.mark.parametrize("scale", [1e-170, 1e170])
     def test_uniform_scale_keeps_picks(self, scale):
         # the volume stage's squared norms once under- or overflowed, and the
