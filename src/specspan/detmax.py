@@ -7,9 +7,9 @@ fractional solutions, and the D/E/A design objectives with their shared
 
 Every subset value comes from one scorer: CHUNK index sets at a time, by one
 stacked Cholesky of their Gram matrices.  Both relaxations run one
-Frank-Wolfe loop that decomposes each iterate once and reads from that one
-decomposition both the iterate's value and its step; the loop keeps the
-best iterate itself.
+Frank-Wolfe loop that keeps its best iterate itself.  Under D and A it
+factors the start once and carries A^-1 and log det A by rank-one updates;
+under E it decomposes each iterate once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, count, islice
 
 import numpy as np
 
@@ -32,7 +32,6 @@ SWAP_IMPROVE = 1e-9           # accept a swap only above this relative gain
 FW_DETMAX_ITERS = 1000
 FW_DETMAX_REL = 1e-9
 FW_DESIGN_ITERS = 2000
-EPS_RIDGE_REL = 1e-12          # log-det ridge vs max squared norm
 
 
 class TooLarge(Exception):
@@ -177,29 +176,25 @@ def greedy_local_search(vs, k: int, max_rounds: int = 50) -> Solution:
 
 def fractional_detmax(vs, k: int | None = None,
                       iters: int = FW_DETMAX_ITERS) -> FractionalSolution:
-    """Frank-Wolfe maximization of log det(sum s_v vv^T + eps I), sum s = d.
+    """Frank-Wolfe maximization of log det(sum s_v vv^T), sum s = d.
 
     Implemented for k = d only (the log-det gradient v^T A^{-1} v is exact);
     seeded from the greedy/local-search support with unit mass per pick so the
-    best iterate can never fall below the best integral solution found.  The
-    run stops once the log-det moves by less than FW_DETMAX_REL of itself.
+    best iterate can never fall below the best integral solution found; a seed
+    whose Gram has no Cholesky factor raises Degenerate.  The run stops once
+    the log-det moves by less than FW_DETMAX_REL of itself.
     """
     v = as_vector_set(vs)
-    x = v.vectors
-    n, d = x.shape
-    if k is None:
-        k = d
-    if k != d:
+    n, d = v.vectors.shape
+    if k not in (None, d):
         raise ValueError("fractional relaxation is implemented for k = d only")
-    if linalg.gram_schmidt(x).shape[0] < d:
-        raise Degenerate(f"rank(V) < d = {d}")
     label_pos = {int(lbl): i for i, lbl in enumerate(v.labels)}
-    seed = greedy_local_search(v, d)
     s = np.zeros(n)
-    for lbl in seed.indices:
-        s[label_pos[lbl]] += d / k  # = 1 for k = d
-    eps = EPS_RIDGE_REL * float(np.max(np.einsum("ij,ij->i", x, x)))
-    best_s = _frank_wolfe(x, s, d, iters, DesignObjective.D, ridge=eps, stop_rel=FW_DETMAX_REL)
+    s[[label_pos[lbl] for lbl in greedy_local_search(v, d).indices]] = 1.0
+    try:
+        best_s = _frank_wolfe(v.vectors, s, d, iters, DesignObjective.D, stop_rel=FW_DETMAX_REL)
+    except ValueError as exc:  # only a start without a Cholesky factor raises
+        raise Degenerate(f"the greedy seed's Gram has no Cholesky factor (d = {d})") from exc
     return FractionalSolution(best_s, float(d))
 
 
@@ -282,51 +277,56 @@ def eval_design(vs, obj: DesignObjective, weights=None, indices=None) -> float:
     return _design_value(linalg.sym_eig(a).eigenvalues, obj)
 
 
-def _frank_wolfe(x: np.ndarray, s: np.ndarray, budget: float, iters: int,
-                 obj: DesignObjective, ridge: float = 0.0,
-                 stop_rel: float = 0.0) -> np.ndarray:
-    """Frank-Wolfe on A = sum s_v vv^T + ridge I, sum s = budget, step 2/(t+2),
-    from the start `s` for `iters` steps; returns the weights of the iterate
-    of least value, the first one on ties.  Each iterate is decomposed once,
-    and that decomposition gives both its value and its step's vertex scores:
-    the Cholesky factor L for D (-log det A; ||L^-1 v||^2 = v^T A^-1 v) and A
-    (tr A^-1 = ||L^-1||_F^2; ||L^-T L^-1 v||^2 = v^T A^-2 v), sym_eig for E
-    (1/lambda_min; <v, w>^2 with w the minimum eigenvector).  A positive
-    `stop_rel` ends the run at the first iterate whose value moves by less
-    than stop_rel x the previous one."""
-    eye = np.eye(x.shape[1])
-    ridge_eye = ridge * eye
-    a = (x.T * s) @ x + ridge_eye
-    best_s, best, prev = s, math.inf, math.nan  # the start has no previous value
-    for t in range(1, iters + 2):
+def _fw_iterates(x: np.ndarray, s: np.ndarray, budget: float, obj: DesignObjective):
+    """Frank-Wolfe on A = sum s_v vv^T, sum s = budget, step g = 2/(t+2), from
+    the start `s`: yields each iterate's weights and value, stepping only when
+    the next iterate is asked for.  E decomposes each iterate (1/lambda_min;
+    scores <v, w>^2, w the minimum eigenvector).  D and A factor the start
+    (ValueError without a factor), then carry B = A^-1 and log det A through
+    A' = (1-g)(A + c qq^T), c = g budget/(1-g), b = Bq, by Sherman-Morrison
+    B' = (B - c bb^T/(1 + c q.b))/(1-g) and the determinant lemma
+    log det A' = log det A + d log1p(-g) + log1p(c q.b).  D: -log det A and
+    scores v^T B v; A: tr B and scores ||Bv||^2."""
+    d = x.shape[1]
+    a = (x.T * s) @ x
+    if obj is not DesignObjective.E:
+        if (low := linalg.cholesky_spd(a)) is None:
+            raise ValueError("matrix is not positive definite")
+        low_inv = linalg.solve_lower(low, np.eye(d))
+        inv, logdet = low_inv.T @ low_inv, linalg.logdet_spd(low)
+    for t in count(1):
         if obj is DesignObjective.E:
             eig = linalg.sym_eig(a)
-            value = _design_value(eig.eigenvalues, obj)
-        elif (low := linalg.cholesky_spd(a)) is None:
-            value = math.inf
-        elif obj is DesignObjective.D:
-            value = -linalg.logdet_spd(low)
-        else:
-            value = float(np.sum(linalg.solve_lower(low, eye) ** 2))
-        if value < best:
-            best_s, best = s, value
-        if t > iters or abs(value - prev) < stop_rel * max(abs(prev), 1e-300):
-            break
-        prev = value
-        if obj is DesignObjective.E:
+            yield s, _design_value(eig.eigenvalues, obj)
             scores = (x @ eig.eigenvectors[:, -1]) ** 2
-        elif low is None:
-            raise ValueError("matrix is not positive definite")
         else:
-            y = linalg.solve_lower(low, x.T)
-            if obj is DesignObjective.A:
-                y = linalg.solve_upper(low, y)
-            scores = np.einsum("ij,ij->j", y, y)
+            yield s, -logdet if obj is DesignObjective.D else float(np.trace(inv))
+            xb = x @ inv
+            scores = np.einsum("ij,ij->i", xb, x if obj is DesignObjective.D else xb)
         q = int(np.argmax(scores))
         gamma = 2.0 / (t + 2.0)
         s = s * (1.0 - gamma)
         s[q] += gamma * budget
-        a = (1.0 - gamma) * a + (gamma * budget) * np.outer(x[q], x[q]) + gamma * ridge_eye
+        if obj is DesignObjective.E:
+            a = (1.0 - gamma) * a + (gamma * budget) * np.outer(x[q], x[q])
+        else:
+            c, b = gamma * budget / (1.0 - gamma), inv @ x[q]
+            cg = c * float(x[q] @ b)
+            inv = (inv - (c / (1.0 + cg)) * np.outer(b, b)) / (1.0 - gamma)
+            logdet += d * math.log1p(-gamma) + math.log1p(cg)
+
+
+def _frank_wolfe(x: np.ndarray, s: np.ndarray, budget: float, iters: int,
+                 obj: DesignObjective, stop_rel: float = 0.0) -> np.ndarray:
+    """Weights of the least-valued _fw_iterates iterate in `iters` steps, the first on ties; a
+    positive `stop_rel` stops at the first iterate whose value moves < stop_rel x the previous."""
+    best_s, best, prev = s, math.inf, math.nan  # the start has no previous value
+    for t, (w, value) in enumerate(_fw_iterates(x, s, budget, obj)):
+        if value < best:
+            best_s, best = w, value
+        if t >= iters or abs(value - prev) < stop_rel * max(abs(prev), 1e-300):
+            break
+        prev = value
     return best_s
 
 

@@ -31,6 +31,13 @@ def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def rank_four_in_r5() -> np.ndarray:
+    """12 rows in R^5 of rank four up to 1e-8 noise."""
+    g = np.random.default_rng(0)
+    return (g.standard_normal((12, 4)) @ g.standard_normal((4, 5))
+            + 1e-8 * g.standard_normal((12, 5)))
+
+
 def enumerate_lp_vertices(c, a_eq, b_eq, a_ub, b_ub):
     """Optimal value of a small LP by enumerating basic feasible points.
 

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import rank_four_in_r5
 from specspan import detmax, linalg, rng as rng_mod
 from specspan.detmax import (Degenerate, DesignObjective, FractionalSolution,
                              TooLarge, brute_force_detmax, eval_design,
@@ -231,6 +232,12 @@ class TestFractionalDetmax:
         with pytest.raises(Degenerate):
             fractional_detmax(VectorSet(np.array([[1.0, 0.0], [2.0, 0.0]])))
 
+    def test_numerically_rank_deficient_seed(self):
+        # rank four plus 1e-8 noise: the greedy seed's Gram has no Cholesky
+        # factor (a log-det ridge once hid that and returned a 0.001 sliver)
+        with pytest.raises(Degenerate, match="no Cholesky factor"):
+            fractional_detmax(VectorSet(rank_four_in_r5()))
+
     def test_k_not_d_rejected(self):
         with pytest.raises(ValueError):
             fractional_detmax(TOY, k=1)
@@ -256,8 +263,7 @@ def detmax_by_numpy(x, iters, logdet=lambda a: float(np.linalg.slogdet(a)[1])):
     n, d = x.shape
     s = np.zeros(n)
     s[list(scalar_local_search(x, d)[0])] = 1.0
-    eps = detmax.EPS_RIDGE_REL * float(np.max(np.einsum("ij,ij->i", x, x)))
-    a = (x.T * s) @ x + eps * np.eye(d)
+    a = (x.T * s) @ x
     logdets = [logdet(a)]
     best_s, best = s.copy(), logdets[0]
     for t in range(1, iters + 1):
@@ -265,14 +271,20 @@ def detmax_by_numpy(x, iters, logdet=lambda a: float(np.linalg.slogdet(a)[1])):
         gamma = 2.0 / (t + 2.0)
         s *= 1.0 - gamma
         s[q] += gamma * d
-        a = (1.0 - gamma) * a + (gamma * d) * np.outer(x[q], x[q]) \
-            + (gamma * eps) * np.eye(d)
+        a = (1.0 - gamma) * a + (gamma * d) * np.outer(x[q], x[q])
         logdets.append(logdet(a))
         if logdets[-1] > best:
             best_s, best = s.copy(), logdets[-1]
         if abs(logdets[-1] - logdets[-2]) < detmax.FW_DETMAX_REL * max(abs(logdets[-2]), 1e-300):
             break
     return best_s, logdets
+
+
+def round_values(monkeypatch):
+    """Round to 0.1 the value of each iterate that _frank_wolfe reads."""
+    real = detmax._fw_iterates
+    monkeypatch.setattr(detmax, "_fw_iterates",
+                        lambda *args: ((s, round(f, 1)) for s, f in real(*args)))
 
 
 class TestFrankWolfeLoop:
@@ -285,9 +297,9 @@ class TestFrankWolfeLoop:
         assert fractional_detmax(x, iters=250).weights.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_ridge_stays_in_every_iterate(self, seed):
-        # a 1e-5 column puts A's smallest eigenvalue next to the eps ridge, so
-        # the scores along it depend on the ridge each step adds back
+    def test_small_column_matches_numpy_loop(self, seed):
+        # a 1e-5 column gives A a condition number near 1e10; the carried
+        # inverse must still pick each step's vertex as numpy's inverse does
         x = np.random.default_rng(seed).standard_normal((12, 5))
         x[:, 4] *= 1e-5
         ref, _ = detmax_by_numpy(x, 250)
@@ -295,13 +307,23 @@ class TestFrankWolfeLoop:
 
     def test_tie_keeps_the_first_maximum(self, monkeypatch):
         # log-dets rounded to 0.1 tie; the run stops on a tie with the maximum
-        real = linalg.logdet_spd
-        monkeypatch.setattr(linalg, "logdet_spd", lambda low: round(real(low), 1))
+        round_values(monkeypatch)
         x = np.random.default_rng(0).standard_normal((12, 5))
         ref, logdets = detmax_by_numpy(
             x, 250, logdet=lambda a: round(float(np.linalg.slogdet(a)[1]), 1))
         assert logdets[-1] == max(logdets) and logdets.index(max(logdets)) < len(logdets) - 1
         assert fractional_detmax(x, iters=250).weights.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("iters", [0, 1, 40])
+    @pytest.mark.parametrize("obj", list(DesignObjective))
+    def test_one_factor_per_run(self, monkeypatch, obj, iters):
+        # D and A factor the start once and carry its inverse; E factors nothing
+        calls = []
+        real = linalg.cholesky_spd
+        monkeypatch.setattr(linalg, "cholesky_spd", lambda a: calls.append(a) or real(a))
+        x = np.random.default_rng(2).standard_normal((9, 3))
+        detmax._frank_wolfe(x, np.full(9, 6.0 / 9), 6.0, iters, obj)
+        assert len(calls) == (0 if obj is DesignObjective.E else 1)
 
     @pytest.mark.parametrize("obj", [DesignObjective.D, DesignObjective.A])
     def test_singular_iterate_raises(self, obj):
@@ -526,9 +548,10 @@ class TestDesignBestIterate:
     @pytest.mark.parametrize("obj", list(DesignObjective))
     @pytest.mark.parametrize("row_norms", ["gaussian", "spread", "extreme"])
     def test_matches_lone_scoring(self, obj, row_norms):
-        # the loop scores each iterate from its own factor or eigenvalues; the
-        # pick must be the one that lone eval_design calls make, also when the
-        # rows are scaled by e^u, u uniform on [-4, 4] or u = +-4
+        # the loop scores each iterate from its carried inverse or its
+        # eigenvalues; the pick must be the one that lone eval_design calls
+        # make, also when the rows are scaled by e^u, u uniform on [-4, 4] or
+        # u = +-4
         gen = np.random.default_rng(31)
         x = gen.standard_normal((9, 3))
         if row_norms == "spread":
@@ -545,7 +568,8 @@ class TestDesignBestIterate:
     def test_ill_conditioned_iterates_are_scored(self, obj):
         # A's condition number is about 1e14, past eval_design's 1e12 rule:
         # scored by eigenvalues, every iterate read +inf and the uniform start
-        # came back; the loop scores each iterate from its Cholesky factor
+        # came back; the loop scores each iterate from the start's Cholesky
+        # factor and rank-one updates
         x = np.random.default_rng(5).standard_normal((8, 3))
         x[:, 2] *= 1e-7
 
@@ -561,8 +585,7 @@ class TestDesignBestIterate:
 
     def test_tie_keeps_the_first_minimum(self, monkeypatch):
         # D values are log-dets rounded to 0.1, which tie from some iterate on
-        real = linalg.logdet_spd
-        monkeypatch.setattr(linalg, "logdet_spd", lambda low: round(real(low), 1))
+        round_values(monkeypatch)
         x = np.random.default_rng(32).standard_normal((9, 3))
         ref, fs = design_by_lone_calls(
             x, DesignObjective.D, 6.0, 30,

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import rank_four_in_r5
 from specspan import cli, linalg
 from specspan.formats import (FormatError, read_vector_file, report_json,
                               write_vector_file)
@@ -346,6 +347,26 @@ class TestCli:
                                 "--method", "fw-round"], capsys)
         assert code == 3
         assert "guard" in err
+
+    def test_detmax_fw_round_rank_deficient_seed_exit_3(self, tmp_path, capsys):
+        # rank four plus 1e-8 noise in R^5: the greedy seed has no Cholesky factor
+        data = tmp_path / "t.csv"
+        write_vector_file(str(data), VectorSet(rank_four_in_r5()))
+        code, out, err = run_cli(["detmax", "--input", str(data), "--k", "5",
+                                  "--method", "fw-round"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("guard: ") and "no Cholesky factor" in err
+
+    @pytest.mark.parametrize("method", ["greedy", "brute", "fw-round"])
+    def test_detmax_k_above_n_exit_2(self, tmp_path, capsys, method):
+        # every solver rejects k > n as out of range; fw-round once answered
+        # "guard: rank(V) < d" (exit 3) from a rank check of its own
+        data = tmp_path / "t.csv"
+        write_vector_file(str(data), VectorSet(np.eye(3)[:2]))
+        code, out, err = run_cli(["detmax", "--input", str(data), "--k", "3",
+                                  "--method", method], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["k=3 out of range for n=2"]
 
     def test_pipeline_fw_round_requires_full_k(self, tmp_path, capsys):
         data = tmp_path / "t.csv"
