@@ -191,10 +191,7 @@ def fractional_detmax(vs, k: int | None = None,
     label_pos = {int(lbl): i for i, lbl in enumerate(v.labels)}
     s = np.zeros(n)
     s[[label_pos[lbl] for lbl in greedy_local_search(v, d).indices]] = 1.0
-    try:
-        best_s = _frank_wolfe(v.vectors, s, d, iters, DesignObjective.D, stop_rel=FW_DETMAX_REL)
-    except ValueError as exc:  # only a start without a Cholesky factor raises
-        raise Degenerate(f"the greedy seed's Gram has no Cholesky factor (d = {d})") from exc
+    best_s = _frank_wolfe(v.vectors, s, d, iters, DesignObjective.D, stop_rel=FW_DETMAX_REL)
     return FractionalSolution(best_s, float(d))
 
 
@@ -282,7 +279,7 @@ def _fw_iterates(x: np.ndarray, s: np.ndarray, budget: float, obj: DesignObjecti
     the start `s`: yields each iterate's weights and value, stepping only when
     the next iterate is asked for.  E decomposes each iterate (1/lambda_min;
     scores <v, w>^2, w the minimum eigenvector).  D and A factor the start
-    (ValueError without a factor), then carry B = A^-1 and log det A through
+    (Degenerate without a factor), then carry B = A^-1 and log det A through
     A' = (1-g)(A + c qq^T), c = g budget/(1-g), b = Bq, by Sherman-Morrison
     B' = (B - c bb^T/(1 + c q.b))/(1-g) and the determinant lemma
     log det A' = log det A + d log1p(-g) + log1p(c q.b).  D: -log det A and
@@ -291,7 +288,7 @@ def _fw_iterates(x: np.ndarray, s: np.ndarray, budget: float, obj: DesignObjecti
     a = (x.T * s) @ x
     if obj is not DesignObjective.E:
         if (low := linalg.cholesky_spd(a)) is None:
-            raise ValueError("matrix is not positive definite")
+            raise Degenerate(f"the start's Gram has no Cholesky factor (d = {d})")
         low_inv = linalg.solve_lower(low, np.eye(d))
         inv, logdet = low_inv.T @ low_inv, linalg.logdet_spd(low)
     for t in count(1):
@@ -334,7 +331,8 @@ def fractional_design(vs, obj: DesignObjective, budget: float,
                       iters: int = FW_DESIGN_ITERS) -> FractionalSolution:
     """Frank-Wolfe on the budgeted mass-allocation problem for a regular f:
     _frank_wolfe from the uniform start for all `iters` steps (E's score is a
-    subgradient; no optimality claim), returning its best iterate."""
+    subgradient; no optimality claim), returning its best iterate.  Rows of
+    rank < d, or under D and A a start without a Cholesky factor, raise Degenerate."""
     v = as_vector_set(vs)
     x = v.vectors
     n, d = x.shape

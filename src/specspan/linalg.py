@@ -9,7 +9,9 @@ time) with forward and back substitution, solves, log-dets and Gram
 determinants for positive-definite systems; a stack member gets the bits of
 its lone call.
 Factorization algorithms are implemented here directly on float64 arrays;
-numpy supplies array arithmetic only.
+numpy supplies array arithmetic only.  The Jacobi rotations run on Python
+floats, entry by entry; numpy validates its input and runs its stop test
+once per sweep.
 
 Tolerances are module-level constants; override by assignment before use.
 """
@@ -70,7 +72,8 @@ def sym_eig(a) -> EigDecomp:
     """Cyclic Jacobi eigendecomposition of a symmetric matrix.
 
     Sweeps rotate every (p, q) pair in fixed order until the off-diagonal
-    Frobenius norm falls below EIG_OFFDIAG_REL * ||A||_F.  Deterministic.
+    Frobenius norm falls below EIG_OFFDIAG_REL * ||A||_F.  Deterministic; the
+    argument is not changed.
     """
     m = as_sym_matrix(a)
     vecs = _jacobi(m)
@@ -80,21 +83,28 @@ def sym_eig(a) -> EigDecomp:
 
 
 def _jacobi(m: np.ndarray) -> np.ndarray:
-    """Diagonalize the exactly-symmetric `m` in place; returns the rotations."""
+    """Diagonalize the exactly-symmetric `m` in place; returns the rotations.
+
+    Rotations run on Python floats: row i of `m`, extended by column i of the
+    rotation product, is one list, rotated entry by entry (c*a - s*b and
+    s*a + c*b).  The sweep test runs in numpy on `m`, which is rewritten from
+    the lists after each sweep.
+    """
     d = m.shape[0]
-    vecs = np.eye(d)
+    rows = [r + e for r, e in zip(m.tolist(), np.eye(d).tolist())]
     target = EIG_OFFDIAG_REL * frob_norm(m)
     for _ in range(EIG_SWEEP_CAP):
         off = math.sqrt(2.0 * float(np.sum(np.triu(m, k=1) ** 2)))
         if off <= target:
-            return vecs
+            break
         skip = off / (d * d) * 1e-2  # tiny pivots cannot reduce `off` usefully
         for p in range(d - 1):
             for q in range(p + 1, d):
-                apq = m[p, q]
+                rp, rq = rows[p], rows[q]
+                apq = rp[q]
                 if abs(apq) <= skip:
                     continue
-                app, aqq = m[p, p], m[q, q]
+                app, aqq = rp[p], rq[q]
                 tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
@@ -102,22 +112,19 @@ def _jacobi(m: np.ndarray) -> np.ndarray:
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                colp = m[:, p].copy()
-                colq = m[:, q].copy()
-                # m is exactly symmetric, so the row pass equals the column pass
-                m[:, p] = m[p, :] = c * colp - s * colq
-                m[:, q] = m[q, :] = s * colp + c * colq
-                m[p, p] = app - t * apq
-                m[q, q] = aqq + t * apq
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * vq
-                vecs[:, q] = s * vp + c * vq
-    if math.sqrt(2.0 * float(np.sum(np.triu(m, k=1) ** 2))) > target:
-        raise RuntimeError("Jacobi sweep cap breached; this is an internal failure")
-    return vecs
+                # m is exactly symmetric, so rows p and q are also its columns p and q
+                newp = [c * a - s * b for a, b in zip(rp, rq)]
+                newq = [s * a + c * b for a, b in zip(rp, rq)]
+                newp[p], newq[q] = app - t * apq, aqq + t * apq
+                newp[q] = newq[p] = 0.0
+                rows[p], rows[q] = newp, newq
+                for row, x, y in zip(rows, newp, newq):
+                    row[p], row[q] = x, y
+        m[...] = [r[:d] for r in rows]
+    else:  # the cap ran out; the last sweep may still have converged
+        if math.sqrt(2.0 * float(np.sum(np.triu(m, k=1) ** 2))) > target:
+            raise RuntimeError("Jacobi sweep cap breached; this is an internal failure")
+    return np.array([r[d:] for r in rows]).reshape(d, d).T
 
 
 def _clamped_psd_eigenvalues(w: np.ndarray) -> np.ndarray:

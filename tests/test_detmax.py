@@ -330,7 +330,7 @@ class TestFrankWolfeLoop:
         # rank two, but the rows are 1e-8 apart: the second pivot of every
         # iterate is below 1e-13 of its diagonal entry, so there is no factor
         x = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-8]])
-        with pytest.raises(ValueError, match="not positive definite"):
+        with pytest.raises(Degenerate, match="no Cholesky factor"):
             fractional_design(x, obj, 2.0)
 
 

@@ -97,6 +97,92 @@ class TestSymEig:
         with pytest.raises(ValueError, match="expected a square matrix"):
             linalg.sym_eig(np.zeros(shape))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_argument_unchanged(self, rng, order):
+        g = rng.standard_normal((6, 6))
+        a = np.array(g + g.T, order=order)
+        before = a.tobytes(order="A")
+        linalg.sym_eig(a)
+        assert a.tobytes(order="A") == before and a.flags.f_contiguous == (order == "F")
+
+    def test_tolerance_read_at_call_time(self, rng, monkeypatch):
+        # a target above any off-diagonal norm: no rotation runs
+        a = random_psd(rng, 5)
+        monkeypatch.setattr(linalg, "EIG_OFFDIAG_REL", 10.0)
+        w, vecs = linalg.sym_eig(a)
+        assert np.array_equal(w, np.sort(np.diag(a))[::-1])
+        assert np.array_equal(np.abs(vecs).sum(axis=0), np.ones(5))
+
+
+def _slice_jacobi(m: np.ndarray) -> np.ndarray:
+    """Reference cyclic Jacobi: each rotation is a numpy update of whole rows
+    and columns.  A frozen copy of the kernel's numpy form, kept to pin
+    linalg._jacobi's bits."""
+    d = m.shape[0]
+    vecs = np.eye(d)
+    target = linalg.EIG_OFFDIAG_REL * math.sqrt(float(np.sum(m * m)))
+    for _ in range(linalg.EIG_SWEEP_CAP):
+        off = math.sqrt(2.0 * float(np.sum(np.triu(m, k=1) ** 2)))
+        if off <= target:
+            return vecs
+        skip = off / (d * d) * 1e-2
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = m[p, q]
+                if abs(apq) <= skip:
+                    continue
+                app, aqq = m[p, p], m[q, q]
+                tau = (aqq - app) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                colp = m[:, p].copy()
+                colq = m[:, q].copy()
+                m[:, p] = m[p, :] = c * colp - s * colq
+                m[:, q] = m[q, :] = s * colp + c * colq
+                m[p, p] = app - t * apq
+                m[q, q] = aqq + t * apq
+                m[p, q] = 0.0
+                m[q, p] = 0.0
+                vp = vecs[:, p].copy()
+                vq = vecs[:, q].copy()
+                vecs[:, p] = c * vp - s * vq
+                vecs[:, q] = s * vp + c * vq
+    raise AssertionError("reference Jacobi did not converge")
+
+
+def _kernel_inputs(rng: np.random.Generator, d: int):
+    x = rng.standard_normal((d + 3, d))
+    g = rng.standard_normal((d, d))
+    v = rng.standard_normal(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return {
+        "gram": x.T @ x,
+        "indefinite": g + g.T,
+        "diagonal": np.diag(rng.standard_normal(d)),
+        "rank_one": np.outer(v, v),
+        "zero": np.zeros((d, d)),
+        "clustered": (q * (1.0 + 1e-9 * rng.choice([-1.0, 1.0], d))) @ q.T,
+    }
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_jacobi_bits_match_slice_reference(d):
+    rng = np.random.default_rng(1000 + d)
+    for name, a in _kernel_inputs(rng, d).items():
+        for scale in (1e-150, 1.0, 1e150):
+            m = linalg.as_sym_matrix(scale * a)
+            ref = m.copy()
+            ref_vecs = _slice_jacobi(ref)
+            ref_w = np.diag(ref).copy()
+            order = np.argsort(-ref_w, kind="stable")
+            w, vecs = linalg.sym_eig(m)
+            assert w.tobytes() == ref_w[order].tobytes(), (name, scale)
+            assert vecs.tobytes() == ref_vecs[:, order].tobytes(), (name, scale)
+
 
 class TestDetK:
     def test_identity_binomial(self):
