@@ -7,9 +7,9 @@ fractional solutions, and the D/E/A design objectives with their shared
 
 Every subset value comes from one scorer: CHUNK index sets at a time, by one
 stacked Cholesky of their Gram matrices.  Both relaxations run one
-Frank-Wolfe loop that keeps its best iterate itself.  Under D and A it
-factors the start once and carries A^-1 and log det A by rank-one updates;
-under E it decomposes each iterate once.
+Frank-Wolfe loop that keeps its best iterate itself; it factors the start
+once and carries A^-1 and log det A by rank-one updates.  Every design value
+reads one Cholesky factor: a matrix without one is singular.
 """
 
 from __future__ import annotations
@@ -196,10 +196,9 @@ def fractional_detmax(vs, k: int | None = None,
 
 
 def fractional_objective(vs, sol: FractionalSolution) -> float:
-    """det_k (k = d) of the weighted Gram sum at the fractional weights."""
+    """det_k (k = d) of the weighted Gram sum at the fractional weights, by det_gram."""
     v = as_vector_set(vs)
-    a = (v.vectors.T * sol.weights) @ v.vectors
-    return linalg.det_k(a, v.dim)
+    return linalg.det_gram((v.vectors.T * sol.weights) @ v.vectors)
 
 
 def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
@@ -240,21 +239,18 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
     return RoundingResult(best, mean, std, trials)
 
 
-def _design_value(w: np.ndarray, obj: DesignObjective) -> float:
-    """f at the eigenvalues `w` of A, sorted descending; +inf when A is singular."""
-    lam = np.maximum(w, 0.0)
-    if not lam[-1] > 1e-12 * lam[0]:
-        return math.inf
-    if obj is DesignObjective.D:
-        # math.exp, not np.exp: the two can differ in the last bit
-        return math.exp(-float(np.sum(np.log(lam))) / len(lam))
-    if obj is DesignObjective.E:
-        return float(1.0 / lam[-1])
-    return float(np.sum(1.0 / lam) / len(lam))
+def _inverse(a: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(A^-1, log det A) from A's Cholesky factor; None exactly when A has none."""
+    if (low := linalg.cholesky_spd(a)) is None:
+        return None
+    low_inv = linalg.solve_lower(low, np.eye(len(a)))
+    return low_inv.T @ low_inv, linalg.logdet_spd(low)
 
 
 def eval_design(vs, obj: DesignObjective, weights=None, indices=None) -> float:
-    """f(sum s_v vv^T) for the chosen design objective; +inf when singular.
+    """f(A), A = sum s_v vv^T, from _inverse's A^-1 and log det A: D is
+    exp(-log det A / d), A is tr A^-1 / d and E is lambda_max(A^-1) by
+    sym_eig; +inf exactly when A has no Cholesky factor.
 
     `weights` is one weight vector; `indices` are labels of the vector set.
     """
@@ -271,31 +267,36 @@ def eval_design(vs, obj: DesignObjective, weights=None, indices=None) -> float:
         a = (x.T * np.asarray(weights, dtype=np.float64)) @ x
     else:
         a = x.T @ x
-    return _design_value(linalg.sym_eig(a).eigenvalues, obj)
+    if (found := _inverse(a)) is None:
+        return math.inf
+    inv, logdet = found
+    if obj is DesignObjective.D:
+        # math.exp, not np.exp: the two can differ in the last bit
+        return math.exp(-logdet / len(a))
+    if obj is DesignObjective.E:
+        return float(linalg.sym_eig(inv).eigenvalues[0])
+    return float(np.trace(inv)) / len(a)
 
 
 def _fw_iterates(x: np.ndarray, s: np.ndarray, budget: float, obj: DesignObjective):
     """Frank-Wolfe on A = sum s_v vv^T, sum s = budget, step g = 2/(t+2), from
     the start `s`: yields each iterate's weights and value, stepping only when
-    the next iterate is asked for.  E decomposes each iterate (1/lambda_min;
-    scores <v, w>^2, w the minimum eigenvector).  D and A factor the start
-    (Degenerate without a factor), then carry B = A^-1 and log det A through
+    the next iterate is asked for.  _inverse factors the start (Degenerate
+    without a factor); B = A^-1 and log det A are carried through
     A' = (1-g)(A + c qq^T), c = g budget/(1-g), b = Bq, by Sherman-Morrison
     B' = (B - c bb^T/(1 + c q.b))/(1-g) and the determinant lemma
     log det A' = log det A + d log1p(-g) + log1p(c q.b).  D: -log det A and
-    scores v^T B v; A: tr B and scores ||Bv||^2."""
+    scores v^T B v; A: tr B and scores ||Bv||^2; E: lambda_max(B) by sym_eig
+    and scores <v, w>^2, w its eigenvector."""
     d = x.shape[1]
-    a = (x.T * s) @ x
-    if obj is not DesignObjective.E:
-        if (low := linalg.cholesky_spd(a)) is None:
-            raise Degenerate(f"the start's Gram has no Cholesky factor (d = {d})")
-        low_inv = linalg.solve_lower(low, np.eye(d))
-        inv, logdet = low_inv.T @ low_inv, linalg.logdet_spd(low)
+    if (start := _inverse((x.T * s) @ x)) is None:
+        raise Degenerate(f"the start's Gram has no Cholesky factor (d = {d})")
+    inv, logdet = start
     for t in count(1):
         if obj is DesignObjective.E:
-            eig = linalg.sym_eig(a)
-            yield s, _design_value(eig.eigenvalues, obj)
-            scores = (x @ eig.eigenvectors[:, -1]) ** 2
+            eig = linalg.sym_eig(inv)
+            yield s, float(eig.eigenvalues[0])
+            scores = (x @ eig.eigenvectors[:, 0]) ** 2
         else:
             yield s, -logdet if obj is DesignObjective.D else float(np.trace(inv))
             xb = x @ inv
@@ -304,13 +305,10 @@ def _fw_iterates(x: np.ndarray, s: np.ndarray, budget: float, obj: DesignObjecti
         gamma = 2.0 / (t + 2.0)
         s = s * (1.0 - gamma)
         s[q] += gamma * budget
-        if obj is DesignObjective.E:
-            a = (1.0 - gamma) * a + (gamma * budget) * np.outer(x[q], x[q])
-        else:
-            c, b = gamma * budget / (1.0 - gamma), inv @ x[q]
-            cg = c * float(x[q] @ b)
-            inv = (inv - (c / (1.0 + cg)) * np.outer(b, b)) / (1.0 - gamma)
-            logdet += d * math.log1p(-gamma) + math.log1p(cg)
+        c, b = gamma * budget / (1.0 - gamma), inv @ x[q]
+        cg = c * float(x[q] @ b)
+        inv = (inv - (c / (1.0 + cg)) * np.outer(b, b)) / (1.0 - gamma)
+        logdet += d * math.log1p(-gamma) + math.log1p(cg)
 
 
 def _frank_wolfe(x: np.ndarray, s: np.ndarray, budget: float, iters: int,
@@ -331,14 +329,12 @@ def fractional_design(vs, obj: DesignObjective, budget: float,
                       iters: int = FW_DESIGN_ITERS) -> FractionalSolution:
     """Frank-Wolfe on the budgeted mass-allocation problem for a regular f:
     _frank_wolfe from the uniform start for all `iters` steps (E's score is a
-    subgradient; no optimality claim), returning its best iterate.  Rows of
-    rank < d, or under D and A a start without a Cholesky factor, raise Degenerate."""
+    subgradient; no optimality claim), returning its best iterate.  A start
+    without a Cholesky factor (rows of rank < d among them) raises Degenerate."""
     v = as_vector_set(vs)
     x = v.vectors
-    n, d = x.shape
+    n = len(x)
     if not (math.isfinite(budget) and budget > 0):
         raise ValueError(f"budget must be positive and finite (got {budget})")
-    if linalg.gram_schmidt(x).shape[0] < d:
-        raise Degenerate(f"rank(V) < d = {d}")
     best_s = _frank_wolfe(x, np.full(n, budget / n), budget, iters, obj)
     return FractionalSolution(best_s, float(budget))

@@ -50,9 +50,7 @@ def as_sym_matrix(a) -> np.ndarray:
     if m.size and np.max(np.abs(m - m.T)) > 1e-8 * max(np.max(np.abs(m)), 1.0):
         raise ValueError("matrix is not symmetric")
     # mirror the upper triangle so symmetry is exact bit-for-bit
-    iu = np.triu_indices(m.shape[0], k=1)
-    m[iu[1], iu[0]] = m[iu]
-    return m
+    return np.where(np.tri(m.shape[0], k=-1, dtype=bool), m.T, m)
 
 
 def frob_norm(a: np.ndarray) -> float:
@@ -72,12 +70,15 @@ def sym_eig(a) -> EigDecomp:
     """Cyclic Jacobi eigendecomposition of a symmetric matrix.
 
     Sweeps rotate every (p, q) pair in fixed order until the off-diagonal
-    Frobenius norm falls below EIG_OFFDIAG_REL * ||A||_F.  Deterministic; the
-    argument is not changed.
+    Frobenius norm falls below EIG_OFFDIAG_REL * ||A||_F, on A times the exact
+    power of two unit_scale(A), so no square overflows or underflows.
+    Deterministic; the argument is not changed.
     """
     m = as_sym_matrix(a)
+    scale = unit_scale(m)
+    m *= scale
     vecs = _jacobi(m)
-    w = np.diag(m).copy()
+    w = np.diag(m) / scale
     order = np.argsort(-w, kind="stable")
     return EigDecomp(w[order], vecs[:, order])
 

@@ -1,7 +1,7 @@
 """Determinant maximization solvers and design objectives."""
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -317,15 +317,15 @@ class TestFrankWolfeLoop:
     @pytest.mark.parametrize("iters", [0, 1, 40])
     @pytest.mark.parametrize("obj", list(DesignObjective))
     def test_one_factor_per_run(self, monkeypatch, obj, iters):
-        # D and A factor the start once and carry its inverse; E factors nothing
+        # every objective factors the start once and carries its inverse
         calls = []
         real = linalg.cholesky_spd
         monkeypatch.setattr(linalg, "cholesky_spd", lambda a: calls.append(a) or real(a))
         x = np.random.default_rng(2).standard_normal((9, 3))
         detmax._frank_wolfe(x, np.full(9, 6.0 / 9), 6.0, iters, obj)
-        assert len(calls) == (0 if obj is DesignObjective.E else 1)
+        assert len(calls) == 1
 
-    @pytest.mark.parametrize("obj", [DesignObjective.D, DesignObjective.A])
+    @pytest.mark.parametrize("obj", list(DesignObjective))
     def test_singular_iterate_raises(self, obj):
         # rank two, but the rows are 1e-8 apart: the second pivot of every
         # iterate is below 1e-13 of its diagonal entry, so there is no factor
@@ -457,9 +457,30 @@ class TestEvalDesign:
         x = rng.standard_normal((7, 3))
         w = rng.uniform(0.0, 2.0, size=(200, 7))
         for s in w:
-            lam = linalg.sym_eig((x.T * s) @ x).eigenvalues
-            expect = math.exp(-float(np.sum(np.log(lam))) / 3)
+            logdet = linalg.logdet_spd(linalg.cholesky_spd((x.T * s) @ x))
+            expect = math.exp(-logdet / 3)
             assert eval_design(x, DesignObjective.D, weights=s) == expect
+
+    @pytest.mark.parametrize("obj", list(DesignObjective))
+    def test_column_scaled_values_match_numpy(self, rng, obj):
+        # cond A near 1e14 from one 1e-7 column: every value is finite and
+        # agrees with numpy
+        x = np.random.default_rng(5).standard_normal((8, 3))
+        x[:, 2] *= 1e-7
+        for s in rng.uniform(0.1, 2.0, size=(20, 8)):
+            assert eval_design(x, obj, weights=s) == pytest.approx(
+                design_by_numpy(x, s, obj), rel=1e-9)
+
+    @pytest.mark.parametrize("obj", list(DesignObjective))
+    def test_infinite_exactly_without_a_factor(self, obj):
+        # rank two, but 1e-8 apart: no Cholesky factor, so +inf under every
+        # objective; 1e-3 apart, a factor and a finite value
+        x = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-8]])
+        assert eval_design(x, obj) == math.inf
+        assert eval_design(x, obj, weights=[1.0, 0.0]) == math.inf
+        wide = np.array([[1.0, 1.0], [1.0, 1.001]])
+        assert eval_design(wide, obj) == pytest.approx(design_by_numpy(wide, np.ones(2), obj),
+                                                       rel=1e-9)
 
     def test_unknown_label_is_rejected(self, rng):
         vs = VectorSet(rng.standard_normal((8, 3)), labels=np.arange(100, 108))
@@ -515,6 +536,18 @@ class TestFractionalDesign:
             fractional_design(VectorSet(np.eye(3)), DesignObjective.D, budget)
 
 
+def design_by_numpy(x, s, obj):
+    """f(A), A = sum s vv^T, by numpy.linalg: slogdet for D, the top eigenvalue
+    of inv(A) for E, the trace of inv(A) for A."""
+    a = (x.T * s) @ x
+    if obj is DesignObjective.D:
+        return math.exp(-float(np.linalg.slogdet(a)[1]) / len(a))
+    inv = np.linalg.inv(a)
+    if obj is DesignObjective.E:
+        return float(np.linalg.eigvalsh(inv)[-1])
+    return float(np.trace(inv)) / len(a)
+
+
 def design_by_lone_calls(x, obj, budget, iters, value=None):
     """fractional_design's Frank-Wolfe with numpy directions, scoring each
     iterate s with A = sum s vv^T by value(s, A), by default its own
@@ -564,24 +597,34 @@ class TestDesignBestIterate:
             assert got.tobytes() == ref.tobytes()
             assert got.base is None  # not a view that keeps other weights alive
 
-    @pytest.mark.parametrize("obj", [DesignObjective.D, DesignObjective.A])
+    @pytest.mark.parametrize("obj", list(DesignObjective))
     def test_ill_conditioned_iterates_are_scored(self, obj):
-        # A's condition number is about 1e14, past eval_design's 1e12 rule:
-        # scored by eigenvalues, every iterate read +inf and the uniform start
-        # came back; the loop scores each iterate from the start's Cholesky
-        # factor and rank-one updates
+        # A's condition number is about 1e14: a rule of lambda_min against
+        # 1e-12 lambda_max read every iterate +inf and returned the uniform
+        # start; the loop scores each iterate from the start's Cholesky factor
+        # and rank-one updates, and eval_design reads the same factor
         x = np.random.default_rng(5).standard_normal((8, 3))
         x[:, 2] *= 1e-7
-
-        def value(s):  # f by numpy
-            a = (x.T * s) @ x
-            return (math.exp(-np.linalg.slogdet(a)[1] / 3) if obj is DesignObjective.D
-                    else np.trace(np.linalg.inv(a)) / 3)
-
         start = np.full(8, 6.0 / 8)
-        assert eval_design(x, obj, weights=start) == math.inf
+        assert eval_design(x, obj, weights=start) == pytest.approx(
+            design_by_numpy(x, start, obj), rel=1e-9)
         got = fractional_design(x, obj, 6.0, iters=50).weights
-        assert value(got) < 0.7 * value(start)
+        assert design_by_numpy(x, got, obj) < 0.7 * design_by_numpy(x, start, obj)
+
+    @pytest.mark.parametrize("obj", list(DesignObjective))
+    @pytest.mark.parametrize("iters", [30, 250])
+    def test_best_value_is_eval_design(self, obj, iters):
+        # the value the loop carries for its best iterate is the value that
+        # eval_design reads from a fresh factor at the returned weights
+        for seed in range(5):
+            x = np.random.default_rng(seed).standard_normal((12, 5))
+            values = [f for _, f in islice(
+                detmax._fw_iterates(x, np.full(12, 10.0 / 12), 10.0, obj), iters + 1)]
+            best = {DesignObjective.D: math.exp(min(values) / 5),
+                    DesignObjective.E: min(values),
+                    DesignObjective.A: min(values) / 5}[obj]
+            got = fractional_design(x, obj, 10.0, iters=iters).weights
+            assert eval_design(x, obj, weights=got) == pytest.approx(best, rel=1e-12)
 
     def test_tie_keeps_the_first_minimum(self, monkeypatch):
         # D values are log-dets rounded to 0.1, which tie from some iterate on

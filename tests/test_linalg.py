@@ -113,6 +113,17 @@ class TestSymEig:
         assert np.array_equal(w, np.sort(np.diag(a))[::-1])
         assert np.array_equal(np.abs(vecs).sum(axis=0), np.ones(5))
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-160])
+    def test_accurate_at_the_ends_of_the_float_range(self, scale):
+        # unscaled, the stop test's squares overflow (1e300) or underflow
+        # (1e-300, 1e-160) and the sweeps stop early or never start
+        x = np.random.default_rng(0).standard_normal((8, 5))
+        m = scale * (x.T @ x)
+        w, vecs = linalg.sym_eig(m)
+        ref = np.linalg.eigvalsh(m)[::-1]
+        assert np.max(np.abs(w - ref) / ref) <= 1e-13
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(5)) <= 1e-9
+
 
 def _slice_jacobi(m: np.ndarray) -> np.ndarray:
     """Reference cyclic Jacobi: each rotation is a numpy update of whole rows
@@ -175,9 +186,11 @@ def test_jacobi_bits_match_slice_reference(d):
     for name, a in _kernel_inputs(rng, d).items():
         for scale in (1e-150, 1.0, 1e150):
             m = linalg.as_sym_matrix(scale * a)
-            ref = m.copy()
+            # the same exact power-of-two prescale as sym_eig, undone on the eigenvalues
+            unit = linalg.unit_scale(m)
+            ref = unit * m
             ref_vecs = _slice_jacobi(ref)
-            ref_w = np.diag(ref).copy()
+            ref_w = np.diag(ref) / unit
             order = np.argsort(-ref_w, kind="stable")
             w, vecs = linalg.sym_eig(m)
             assert w.tobytes() == ref_w[order].tobytes(), (name, scale)
@@ -529,3 +542,11 @@ class TestSpectraAgainstNumpy:
         tail = float(np.sum(np.linalg.eigvalsh(b - base)[::-1][k - 1:]))
         assume(abs(tail - bar) > 1e-8 * (1.0 + norm_b))  # clear of the threshold
         assert linalg.preceq_k(base, b, k) == (tail >= bar)
+
+    @given(spectral_matrices(signed=True), st.integers(-900, 900))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_sym_eig_commutes_with_powers_of_two(self, a, j):
+        w, vecs = linalg.sym_eig(a)
+        w2, vecs2 = linalg.sym_eig(np.ldexp(a, j))
+        assert w2.tobytes() == np.ldexp(w, j).tobytes()
+        assert vecs2.tobytes() == vecs.tobytes()
