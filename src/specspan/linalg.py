@@ -1,9 +1,9 @@
 """Dense real linear algebra kernel.
 
 Jacobi symmetric eigendecomposition of one matrix, the exact power-of-two
-scale that brings a vector or a matrix's largest row near unit norm,
-Gram-Schmidt, orthogonal projection, the elementary-symmetric determinant
-det_k, the eigenvalue-tail order check between symmetric matrices, and a
+scale that brings a vector or a matrix's largest row near unit norm, one
+Gram-Schmidt step (deflate: a row is dropped by its own norm) and
+Gram-Schmidt on it, projection, det_k, the eigenvalue-tail order check, and a
 Cholesky factor (of one matrix, or of a whole stack one column step at a
 time) with forward and back substitution, solves, log-dets and Gram
 determinants for positive-definite systems; a stack member gets the bits of
@@ -26,7 +26,7 @@ import numpy as np
 EIG_OFFDIAG_REL = 1e-12   # Jacobi stop: off-diagonal Frobenius vs ||A||_F
 EIG_SWEEP_CAP = 100       # sweep limit; breaching it is an internal failure
 PSD_CLAMP_REL = 1e-8      # eigenvalue clamp window for nominally-PSD input
-GS_DROP_REL = 1e-10       # Gram-Schmidt drop rule vs max input norm
+GS_DROP_REL = 1e-10       # Gram-Schmidt drop rule vs the row's own norm (a sine)
 DEFAULT_ORDER_TOL = 1e-9  # default slack for preceq_k
 CHOL_PIVOT_REL = 1e-13    # Cholesky fails at a pivot at or below this x its own diagonal
 
@@ -200,32 +200,34 @@ def unit_scale(x) -> float:
     return 2.0 ** -max(round(math.log2(norm)), -1023) if norm > 0.0 else 1.0
 
 
-def gram_schmidt(vs) -> np.ndarray:
-    """Orthonormalize rows of `vs`; near-dependent vectors are dropped.
-
-    Modified Gram-Schmidt with one re-orthogonalization pass, on the rows
-    scaled by unit_scale so that no norm underflows.  A vector whose residual
-    norm is <= GS_DROP_REL * (max input norm) is dropped.
+def deflate(resid: np.ndarray, basis: list[np.ndarray], j: int, norm: float) -> bool:
+    """One Gram-Schmidt step, in place: row j of `resid` (residuals against
+    the frame `basis`) gets a second pass against it and is kept when its
+    residual is above GS_DROP_REL * `norm`, its own norm before any step: the
+    sine of the row to the span before it.  A kept row's unit vector joins
+    `basis` and is taken out of every row of `resid`.  Returns whether it was.
     """
+    r = resid[j]
+    b = np.array(basis).reshape(len(basis), len(r))
+    r -= (b @ r) @ b
+    rn = vec_norm(r)
+    if not rn > GS_DROP_REL * norm:
+        return False
+    unit = r / rn
+    resid -= np.outer(resid @ unit, unit)
+    basis.append(unit)
+    return True
+
+
+def gram_schmidt(vs) -> np.ndarray:
+    """Orthonormal rows spanning the rows of `vs`: one deflate step per row in
+    order, on the rows times unit_scale(vs); a row is dropped by its own norm."""
     x = np.atleast_2d(np.asarray(vs, dtype=np.float64))
-    if x.size == 0:
-        return np.zeros((0, x.shape[1] if x.ndim == 2 else 0))
-    x = unit_scale(x) * x
-    max_norm = max(vec_norm(row) for row in x)
-    if max_norm == 0.0:
-        return np.zeros((0, x.shape[1]))
+    resid = unit_scale(x) * x
     basis: list[np.ndarray] = []
-    for row in x:
-        r = row.astype(np.float64, copy=True)
-        for _ in range(2):
-            for b in basis:
-                r -= np.dot(r, b) * b
-        nrm = vec_norm(r)
-        if nrm > GS_DROP_REL * max_norm:
-            basis.append(r / nrm)
-    if not basis:
-        return np.zeros((0, x.shape[1]))
-    return np.array(basis)
+    for j, norm in enumerate(np.sqrt(np.einsum("ij,ij->i", resid, resid))):
+        deflate(resid, basis, j, float(norm))
+    return np.array(basis).reshape(len(basis), x.shape[1])
 
 
 # -- Cholesky helpers (internal fast paths; PSD input assumed) --------------

@@ -6,10 +6,10 @@ Two LPs are built on it: the directional-domination check (min t with
 <x,v> = 1 and |<x,u>| <= t, x and t split into nonnegative parts) and its
 dual, the minimum-l1 representation of v over U, whose norm is 1/t*.  The
 domination check scales v and U by the power of two that takes |v| nearest
-1; the l1 LP scales U and v each by its own such power.  Scaling is exact,
-so the kernel's absolute tolerances see the same problem at every input
-scale.  Sized for desk-scale problems (tens of variables and constraints),
-deterministic by construction.
+1; the l1 LP scales v by its own such power and each row of U by the power
+of two of its largest entry.  Scaling is exact, so the kernel's absolute
+tolerances see the same problem at every input scale and row norms many
+orders apart.  Sized for desk-scale problems, deterministic by construction.
 """
 
 from __future__ import annotations
@@ -164,19 +164,23 @@ def solve_lp(a, b, c, ready: dict[int, int]) -> np.ndarray:
 def l1_representation(u, v) -> np.ndarray:
     """Minimum-l1 coefficients: argmin ||c||_1 subject to u.T @ c == v.
 
-    Solves min 1^T z over [u.T, -u.T] z = v, z >= 0 (len(v) equality rows,
-    2 len(u) columns) and returns c = z+ - z-.  U and v are scaled by their
-    own powers of two, so neither reaches the tableau far from unit size; c
-    then scales back by their ratio.  Raises Infeasible when v is outside
-    span(u).
+    Row u_j enters the tableau times s_j, the power of two that takes its
+    largest entry into [0.5, 1) (capped at 2^1022), and v times
+    s_v = unit_scale(v), so every row is near unit size however far apart
+    the norms are; c = s (z+ - z-) / s_v, and the costs of z are s_j / min s:
+    exact powers of two, the least 1, so the longest rows, which carry most
+    of a representation, are not priced below the simplex's absolute
+    tolerances.  Raises Infeasible for v outside span(u).
     """
     u = as_matrix(u)
     v = np.asarray(v, dtype=np.float64)
-    s_u, s_v = linalg.unit_scale(u), linalg.unit_scale(v)
-    ut = s_u * u.T
+    s = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(u).max(axis=1, initial=0.0))[1], -1022))
+    s_v = linalg.unit_scale(v)
+    ut = (s[:, None] * u).T
+    w = s / s.min(initial=math.inf)
     m = u.shape[0]
-    z = solve_lp(np.hstack([ut, -ut]), s_v * v, np.ones(2 * m), {})
-    return (z[:m] - z[m:]) * (s_u / s_v)
+    z = solve_lp(np.hstack([ut, -ut]), s_v * v, np.concatenate([w, w]), {})
+    return (z[:m] - z[m:]) * s / s_v
 
 
 @dataclass

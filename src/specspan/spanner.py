@@ -153,9 +153,9 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None) -> Spanner:
     Scans the input from index 0, adds argmax_u <u, x>^2 for the witness
     direction x of the first uncovered vector, and rescans until every vector
     is covered.  Coverage is monotone in U, so a covered vector is never
-    tested again.  One span frame serves the build: the rows' residuals
-    against span(U), deflated per pick as in volume_greedy, and the unit rows
-    they were deflated by, an orthonormal basis of span(U).  A cheap
+    tested again.  One span frame serves the build: one linalg.deflate step
+    per pick, in pick order, keeps the rows' residuals against span(U) and an
+    orthonormal basis of span(U).  A cheap
     dual-feasibility screen reads that basis and sees only the uncovered rows
     whose residual is at most NOT_IN_SPAN_REL of the row: no other row can
     pass it.  The LP gives every row the screen leaves the verdict the screen
@@ -171,7 +171,6 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None) -> Spanner:
     norms = np.sqrt(np.einsum("ij,ij->i", xs, xs))
     resid = xs.copy()
     basis: list[np.ndarray] = []  # orthonormal rows spanning span(U)
-    top = 0.0  # largest picked norm, for gram_schmidt's drop rule
     covered = np.zeros(n, dtype=bool)
     picks: list[int] = []
     wits: list[np.ndarray] = []
@@ -190,12 +189,7 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None) -> Spanner:
             picks.append(j)
             wits.append(scale * res.witness)
             covered[j] = True  # a member of U always has t* >= 1 >= 1/sqrt(alpha)
-            top = max(top, float(norms[j]))
-            rj = linalg.vec_norm(resid[j])
-            if rj > linalg.GS_DROP_REL * top:
-                b = resid[j] / rj
-                resid -= np.outer(resid @ b, b)
-                basis.append(b)
+            linalg.deflate(resid, basis, j, float(norms[j]))
             break
         else:
             break
@@ -334,33 +328,32 @@ def certify_all(vs, sp: Spanner, alpha: float) -> list[CoverageCertificate]:
 def volume_greedy(vs, m: int) -> Spanner:
     """Greedy volume maximization: repeatedly take the largest residual norm.
 
-    Ties break to the lowest index at relative tolerance 1e-9; stops early when
-    the best residual norm falls to GS_DROP_REL of the largest norm (rank).
+    One linalg.deflate step per pick, in greedy order; rows within its drop
+    rule are skipped, and the greedy stops when none is left (rank).  Ties
+    break to the lowest index at relative tolerance 1e-9.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     v = as_vector_set(vs)
     resid = linalg.unit_scale(v.vectors) * v.vectors  # exact; keeps every pick
-    n, d = resid.shape
-    norms0 = np.sqrt(np.einsum("ij,ij->i", resid, resid))
-    max_norm = float(norms0.max()) if n else 0.0
+    norms = np.sqrt(np.einsum("ij,ij->i", resid, resid))
+    basis: list[np.ndarray] = []
     picks: list[int] = []
-    for _ in range(min(m, n)):
+    while len(picks) < m:
         rn = np.sqrt(np.einsum("ij,ij->i", resid, resid))
-        best = float(rn.max())
-        if best <= linalg.GS_DROP_REL * max_norm:
+        rn[rn <= linalg.GS_DROP_REL * norms] = 0.0
+        if not rn.any():
             break
-        j = int(np.argmax(rn >= best * (1.0 - 1e-9)))
-        picks.append(j)
-        b = resid[j] / float(rn[j])
-        resid -= np.outer(resid @ b, b)
+        j = int(np.argmax(rn >= rn.max() * (1.0 - 1e-9)))
+        if linalg.deflate(resid, basis, j, float(norms[j])):
+            picks.append(j)
     return Spanner(
         indices=[int(v.labels[j]) for j in picks],
         vectors=v.vectors[picks],
         stage_tags=[STAGE_VOLUME] * len(picks),
         alpha=1.0,
-        dspanner_vectors=np.zeros((0, d)),
-        dspanner_witnesses=np.zeros((0, d)),
+        dspanner_vectors=np.zeros((0, v.dim)),
+        dspanner_witnesses=np.zeros((0, v.dim)),
     )
 
 

@@ -1,6 +1,7 @@
 """File formats and the command-line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -274,6 +275,42 @@ class TestCli:
         assert "Traceback" not in err
         if out:
             json.loads(out)  # exactly one JSON document
+
+    @pytest.mark.parametrize("name", ["mixed-1e9", "mixed-1e10", "mixed-1e11"])
+    def test_mixed_scale_probe_passes_every_verifier(self, probe_corpus, capsys, tmp_path,
+                                                     name):
+        # rank rules against the largest row made the build raise Unbounded at
+        # 1e10 and the three modes disagree at 1e9 and 1e11
+        picks = []
+        for mode in ("weak", "strong", "k"):
+            report, idx = tmp_path / f"{mode}.json", tmp_path / f"{mode}.txt"
+            code, out, err = run_cli(["spanner", "--input", probe_corpus[name],
+                                      "--verify", mode, "--out", str(report),
+                                      "--indices-out", str(idx)], capsys)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["verdict"] == "pass"
+            picks.append([int(tok) for tok in idx.read_text().split()])
+        assert picks[0] == picks[1] == picks[2]
+        alpha = json.loads(report.read_text())["config"]["alpha"]
+        x = read_vector_file(probe_corpus[name])[0].vectors
+        u = x[picks[0]]
+        assert u.shape == (4, 4)  # so the representation of every row is unique
+        norms = np.linalg.norm(u, axis=1)
+        c = np.linalg.solve((u / norms[:, None]).T, x.T).T / norms
+        assert np.max(np.sum(np.abs(c), axis=1)) < math.sqrt(alpha)
+
+    @pytest.mark.parametrize("name, scale", [("mixed-1e9", 1e9), ("mixed-1e10", 1e10),
+                                             ("mixed-1e11", 1e11)])
+    def test_mixed_scale_probe_greedy_value(self, probe_corpus, capsys, name, scale):
+        # a greedy stop against the largest row once scored 0.0 at 1e10 and 1e11
+        code, out, _ = run_cli(["detmax", "--input", probe_corpus[name], "--k", "4",
+                                "--method", "greedy"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        x = read_vector_file(probe_corpus[name])[0].vectors
+        det = float(np.linalg.det(x[rep["config"]["indices"]])) ** 2
+        assert rep["objective"] == pytest.approx(det, rel=1e-9)
+        assert 0.0 < rep["objective"] <= scale ** 4 * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("command", ["spanner", "pipeline"])
     @pytest.mark.parametrize("exc", [Infeasible, Unbounded, NotInSpan])

@@ -227,3 +227,13 @@ class TestLowerboundExperiment:
             assert rep.objective > 0.0
             ratios.append(rep.ratio)
         assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-9)
+
+    def test_ratio_holds_at_far_scales(self):
+        # the unit X rows sit 1e-10 or more below the Y rows; a drop rule
+        # against the largest row once left the seed set rank 7 of 12 at
+        # M = 1e10 and 1e12, and the ratio read 0.0
+        ratios = [lowerbound_experiment(gen_hard_instance(12, 1.0, big_m, seed=0,
+                                                          n_override=96), 12).ratio
+                  for big_m in (1e6, 1e8, 1e10, 1e12)]
+        assert ratios == pytest.approx([ratios[0]] * 4, rel=1e-9)
+        assert ratios[0] > 0.0

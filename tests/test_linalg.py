@@ -353,6 +353,36 @@ class TestGramSchmidt:
         assert np.allclose(linalg.gram_schmidt(scale * x), linalg.gram_schmidt(x),
                            rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("sine", [1e-9, 3e-10])
+    def test_orthonormal_with_a_nearly_dependent_row(self, sine):
+        # the last row is at `sine` to the span of the rows before it; one
+        # pass of the step leaves its unit vector about 6e-6 off orthogonal
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        x = rng.standard_normal((5, 5)) @ q[:, :5].T
+        w = x.sum(axis=0) / np.linalg.norm(x.sum(axis=0))
+        near = math.sqrt(1.0 - sine ** 2) * w + sine * q[:, 5]
+        basis = linalg.gram_schmidt(np.vstack([x, near]))
+        assert basis.shape == (6, 8)
+        assert np.max(np.abs(basis @ basis.T - np.eye(6))) <= 1e-14
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8),
+           st.integers(1, 6), st.lists(st.integers(-60, 60), min_size=8, max_size=8))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_rank_and_span_at_any_row_scale(self, seed, d, n, r, exps):
+        # a row is kept against its own norm: rows far below the largest are
+        # neither dropped for their size nor kept for their rounding noise
+        gen = np.random.default_rng(seed)
+        r = min(r, d, n)
+        rows = gen.standard_normal((n, r)) @ gen.standard_normal((r, d))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        x = rows * np.ldexp(1.0, exps[:n])[:, None]
+        basis = linalg.gram_schmidt(x)
+        assert len(basis) == np.linalg.matrix_rank(rows)
+        assert np.max(np.abs(basis @ basis.T - np.eye(len(basis))), initial=0.0) <= 1e-12
+        resid = x - (x @ basis.T) @ basis
+        assert np.all(np.linalg.norm(resid, axis=1) <= 1e-12 * np.linalg.norm(x, axis=1))
+
 
 class TestUnitScale:
     def test_largest_row_near_unit_norm(self, rng):

@@ -14,7 +14,7 @@ from specspan.hardgen import gen_hard_instance, lowerbound_experiment
 from specspan.spanner import (build_d_spanner, build_k_spanner, certify_all,
                               check_witness_dominance)
 from specspan.vectorset import VectorSet
-from conftest import enumerate_lp_vertices
+from conftest import enumerate_lp_vertices, unit_rows
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -210,6 +210,25 @@ class TestL1Representation:
         ref = l1_representation(us, v)
         assert float(np.sum(np.abs(c))) == pytest.approx(scale * float(np.sum(np.abs(ref))),
                                                          rel=1e-9)
+
+    def test_rows_far_apart_in_norm(self):
+        # each row of U is scaled by its own power of two; with one power of
+        # two for all of U the simplex raised Unbounded on some of these
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            normal = unit_rows(rng, 5, 3)
+            norms = np.ldexp(1.0, rng.choice([-20, 20], 5))
+            u, v = normal * norms[:, None], unit_rows(rng, 1, 3)[0]
+            c = l1_representation(u, v)
+            assert np.allclose(u.T @ c, v, rtol=0.0, atol=1e-12)
+            # the LP on the unit rows n_j: min sum t_j / |u_j| over (c', t)
+            # with N^T c' = v and |c'_j| <= t_j, where c_j = c'_j / |u_j|
+            eye = np.eye(5)
+            _, ref = enumerate_lp_vertices(
+                np.concatenate([np.zeros(5), 1.0 / norms]),
+                np.hstack([normal.T, np.zeros((3, 5))]), v,
+                np.vstack([np.hstack([eye, -eye]), np.hstack([-eye, -eye])]), np.zeros(10))
+            assert float(np.sum(np.abs(c))) == pytest.approx(ref, rel=1e-8)
 
     def test_norm_is_inverse_domination_margin(self, rng):
         for _ in range(20):

@@ -167,9 +167,8 @@ class TestCoverageScreen:
         kept = sv[sv > 1e-10 * sv[0]]
         assume(kept[-1] >= 1e-4 * sv[0])  # the l2 oracle needs a sane frame
         marked = spanner._coverage_screen(x, u, linalg.gram_schmidt(u), alpha)
-        pinv_ut = np.linalg.pinv(u.T, rtol=1e-10)
         for i in np.flatnonzero(marked):
-            c = pinv_ut @ x[i]
+            c = np.linalg.lstsq(u.T, x[i], rcond=None)[0]
             assert np.linalg.norm(u.T @ c - x[i]) <= 1e-8 * np.linalg.norm(x[i])
             assert np.sum(np.abs(c)) <= math.sqrt(alpha)
 
@@ -219,6 +218,27 @@ class TestCoverageScreen:
             assert np.array_equal(with_screen.dspanner_witnesses,
                                   without.dspanner_witnesses)
         assert frames >= len(inputs)
+
+    def test_build_frame_spans_rows_far_apart_in_norm(self, monkeypatch):
+        # unit rows picked after rows of norm 1e11: a drop rule against the
+        # largest picked norm left their directions out of the frame
+        g = np.random.default_rng(3).standard_normal((60, 4))
+        unit = g / np.linalg.norm(g, axis=1, keepdims=True)
+        flat = unit[:30] * [1.0, 1.0, 0.0, 0.0]
+        x = np.vstack([1e11 * flat / np.linalg.norm(flat, axis=1, keepdims=True), unit[30:]])
+        screen = spanner._coverage_screen
+        frames = []
+
+        def frame_kept(x, u, basis, alpha):
+            frames.append((u, basis))
+            return screen(x, u, basis, alpha)
+        monkeypatch.setattr(spanner, "_coverage_screen", frame_kept)
+        sp = build_d_spanner(VectorSet(x), default_alpha(4))
+        assert np.linalg.matrix_rank(sp.vectors / np.linalg.norm(sp.vectors, axis=1,
+                                                                 keepdims=True)) == 4
+        u, basis = frames[-1]
+        assert len(u) == sp.size and len(basis) == 4
+        assert np.max(np.abs(basis @ basis.T - np.eye(4))) <= 1e-12
 
     def test_build_makes_no_frame_of_its_own(self, monkeypatch):
         # the screen reads the build's frame; no gram_schmidt call is left in
