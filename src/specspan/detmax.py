@@ -5,11 +5,13 @@ log-det Frank-Wolfe relaxation for the full-rank case, randomized rounding of
 fractional solutions, and the D/E/A design objectives with their shared
 1/t scaling law.
 
-Every subset value comes from one scorer: CHUNK index sets at a time, by one
-stacked Cholesky of their Gram matrices.  Both relaxations run one
-Frank-Wolfe loop that keeps its best iterate itself; it factors the start
-once and carries A^-1 and log det A by rank-one updates.  Every design value
-reads one Cholesky factor: a matrix without one is singular.
+Brute force and rounding score CHUNK index sets at a time by one stacked
+Cholesky of Grams gathered from the input's n x n Gram; subset_value factors
+the Gram of its rows.  Local search prices every swap of a round from one
+Gram-Schmidt frame of the current set.  Both relaxations run one Frank-Wolfe
+loop that keeps its best iterate itself; it factors the start once and
+carries A^-1 and log det A by rank-one updates.  Every design value reads one
+Cholesky factor: a matrix without one is singular.
 """
 
 from __future__ import annotations
@@ -78,14 +80,14 @@ class DesignObjective(Enum):
 
 
 def subset_value(x: np.ndarray, indices) -> float:
-    """det of the Gram of the chosen rows of x: _set_values on one set."""
-    return float(_set_values(x, np.array([indices], dtype=np.int64))[0])
+    """det of the Gram of the chosen rows of x, by det_gram."""
+    rows = x[list(indices)]
+    return float(linalg.det_gram(rows @ rows.T))
 
 
-def _set_values(x: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """det of the Gram of each row-index set of `sets` (b, k): one stacked Cholesky."""
-    xs = x[sets]
-    return linalg.det_gram(xs @ xs.transpose(0, 2, 1))
+def _set_values(gram: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """det of the Gram of each index set of `sets` (b, k), gathered from `gram`."""
+    return linalg.det_gram(gram[sets[:, :, None], sets[:, None, :]])
 
 
 def brute_force_detmax(vs, k: int) -> Solution:
@@ -106,9 +108,8 @@ def brute_force_detmax(vs, k: int) -> Solution:
     gram = v.vectors @ v.vectors.T
     combos = chain.from_iterable(combinations(range(n), k))
     best_val, best_idx = -math.inf, ()
-    while (sets := np.fromiter(islice(combos, CHUNK * k), dtype=np.int64)).size:
-        sets = sets.reshape(-1, k)
-        values = linalg.det_gram(gram[sets[:, :, None], sets[:, None, :]])
+    while (sets := np.fromiter(islice(combos, CHUNK * k), dtype=np.int64).reshape(-1, k)).size:
+        values = _set_values(gram, sets)
         i = int(np.argmax(values))
         if values[i] > best_val:
             best_val, best_idx = float(values[i]), sets[i]
@@ -116,62 +117,54 @@ def brute_force_detmax(vs, k: int) -> Solution:
     return Solution(labels, max(best_val, 0.0))
 
 
-def _first_swap(x: np.ndarray, current: list[int], slot: int, cands: np.ndarray,
-                bar: float) -> tuple[int, float | None]:
-    """First position in `cands` whose swap into `slot` lifts the value above
-    `bar`, with that value; (len(cands), None) when none does."""
-    for start in range(0, len(cands), CHUNK):
-        part = cands[start:start + CHUNK]
-        sets = np.tile(current, (len(part), 1))
-        sets[:, slot] = part
-        values = _set_values(x, sets)
-        hit = np.flatnonzero(values > bar)
-        if hit.size:
-            return start + int(hit[0]), float(values[hit[0]])
-    return len(cands), None
+def _swap_gains(x: np.ndarray, current: list[int], cands: np.ndarray) -> np.ndarray | None:
+    """det(S - s + c) / det(S) for every slot s of `current` (rows) and every
+    candidate c (columns) from one frame Q = gram_schmidt(X_S); None when S is
+    dependent (Q has fewer rows).  Column N_s of N = (X_S Q^T)^-1, a lower
+    triangle, is normal in the frame to the other rows, with <x_s, N_s> = 1, so
+    the ratio ||Pc||^2 / ||P x_s||^2, P the projection off span(S - s), is
+    ||N_s||^2 ||c - Q^T Q c||^2 + <Qc, N_s>^2 (Fedorov's exchange identity)."""
+    q = linalg.gram_schmidt(x[current])
+    if len(q) < len(current):
+        return None
+    inv = linalg.solve_lower(x[current] @ q.T, np.eye(len(q)))
+    qc = x[cands] @ q.T
+    perp = x[cands] - qc @ q
+    return (np.einsum("ij,ij->j", inv, inv)[:, None] * np.einsum("ij,ij->i", perp, perp)
+            + (qc @ inv).T ** 2)
 
 
 def greedy_local_search(vs, k: int, max_rounds: int = 50) -> Solution:
     """Volume-greedy seed followed by first-improvement single swaps.
 
-    A swap is accepted only when the value improves by a factor >= 1 + 1e-9;
-    terminates at a local optimum or after max_rounds * n * k evaluations.
-    Swap-ins for a slot are scored CHUNK at a time in index order; the first
-    improving one wins, as in a one-by-one scan.
+    Each round prices every swap of the current set S from one frame of S
+    (_swap_gains) and takes the first whose gain exceeds 1 + SWAP_IMPROVE,
+    slot-major with candidates in index order, as a one-by-one scan would.
+    The search ends at a local optimum, when S is dependent, or once
+    max_rounds * n * k swaps have been scanned; the value is subset_value's.
     """
     v = as_vector_set(vs)
     x = v.vectors
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    seed_sp = volume_greedy(v, k)
     label_pos = {int(lbl): i for i, lbl in enumerate(v.labels)}
-    current = [label_pos[lbl] for lbl in seed_sp.indices]
-    for i in range(n):  # pad when rank < k; padding keeps the value at 0
-        if len(current) == k:
+    current = [label_pos[lbl] for lbl in volume_greedy(v, k).indices]
+    # pad when rank < k: a padded set is dependent, so the search stops at once
+    current += [i for i in range(n) if i not in current][:k - len(current)]
+    evals, budget = 0, max_rounds * n * k
+    while evals < budget:
+        cands = np.setdiff1d(np.arange(n), current)
+        if (gains := _swap_gains(x, current, cands)) is None:
             break
-        if i not in current:
-            current.append(i)
-    value = subset_value(x, current)
-    budget = max_rounds * n * k
-    evals = 0
-    improved = True
-    while improved and evals < budget:
-        improved = False
-        taken = set(current)
-        cands = np.fromiter((j for j in range(n) if j not in taken), dtype=np.int64)
-        for slot in range(k):
-            allowed = cands[:budget - evals]
-            pos, val = _first_swap(x, current, slot, allowed,
-                                   value * (1.0 + SWAP_IMPROVE) + 1e-300)
-            evals += min(pos + 1, len(allowed))
-            if val is not None:
-                current[slot], value, improved = int(allowed[pos]), val, True
-            if improved or evals >= budget:
-                break
+        hits = np.flatnonzero(gains.ravel()[:budget - evals] > 1.0 + SWAP_IMPROVE)
+        if not hits.size:
+            break
+        slot, pos = divmod(int(hits[0]), len(cands))
+        current[slot] = int(cands[pos])
+        evals += int(hits[0]) + 1
     order = sorted(current)
-    labels = tuple(int(v.labels[i]) for i in order)
-    return Solution(labels, subset_value(x, order))
+    return Solution(tuple(int(v.labels[i]) for i in order), subset_value(x, order))
 
 
 def fractional_detmax(vs, k: int | None = None,
@@ -213,7 +206,7 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
     v = as_vector_set(vs)
-    x = v.vectors
+    gram = v.vectors @ v.vectors.T
     s = sol.weights
     total = float(np.sum(s))
     if abs(total - k) > 1e-6:
@@ -227,7 +220,7 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
     for start in range(0, trials, CHUNK):
         stop = min(start + CHUNK, trials)
         draws = np.searchsorted(cum, gen.random((stop - start, k)), side="right")
-        chunk = values[start:stop] = _set_values(x, draws)
+        chunk = values[start:stop] = _set_values(gram, draws)
         i = int(np.argmax(chunk))
         if chunk[i] > best_val:
             best_val, best_draw = float(chunk[i]), draws[i]

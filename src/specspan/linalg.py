@@ -1,13 +1,13 @@
 """Dense real linear algebra kernel.
 
-Jacobi symmetric eigendecomposition of one matrix, the exact power-of-two
-scale that brings a vector or a matrix's largest row near unit norm, one
-Gram-Schmidt step (deflate: a row is dropped by its own norm) and
-Gram-Schmidt on it, projection, det_k, the eigenvalue-tail order check, and a
-Cholesky factor (of one matrix, or of a whole stack one column step at a
-time) with forward and back substitution, solves, log-dets and Gram
-determinants for positive-definite systems; a stack member gets the bits of
-its lone call.
+Jacobi symmetric eigendecomposition of one matrix, the exact powers of two
+that bring a vector or a matrix's largest row near unit norm (unit_scale) or
+each row's largest entry into [0.5, 1) (row_scales), one Gram-Schmidt step
+(deflate: a row is dropped by its own norm) and Gram-Schmidt on it,
+projection, det_k, the eigenvalue-tail order check, and a Cholesky factor (of
+one matrix, or of a whole stack one column step at a time) with forward and
+back substitution, solves, log-dets and Gram determinants for
+positive-definite systems; a stack member gets the bits of its lone call.
 Factorization algorithms are implemented here directly on float64 arrays;
 numpy supplies array arithmetic only.  The Jacobi rotations run on Python
 floats, entry by entry; numpy validates its input and runs its stop test
@@ -185,19 +185,25 @@ def project_orth(v, basis) -> np.ndarray:
 
 def unit_scale(x) -> float:
     """The power of two nearest 1/|x| for a vector, 1/(largest row norm) for a
-    matrix; 1 for zero input.
+    matrix; 1 for zero input.  Scaling by it is exact.
 
-    Scaling by it is exact.  The largest row is found on the rows scaled by
-    the power of two of the largest entry, and its norm comes from math.hypot,
-    so no square underflows or overflows; the factor is capped at 2^1023 so
-    that subnormal input cannot overflow it.
+    The largest row and its norm (math.hypot) are taken on the rows times 2^-e,
+    e the exponent of the largest entry, and e is added back: nothing under- or
+    overflows on finite input.  The factor is capped at 2^1023 (subnormal input).
     """
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if len(a) > 1:
-        s = np.ldexp(a, -math.frexp(float(np.abs(a).max(initial=0.0)))[1])
-        a = a[(s * s).sum(axis=1).argmax()]
-    norm = math.hypot(*a.ravel().tolist())
-    return 2.0 ** -max(round(math.log2(norm)), -1023) if norm > 0.0 else 1.0
+    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    s = np.ldexp(a, -e)
+    if len(s) > 1:
+        s = s[(s * s).sum(axis=1).argmax()]
+    norm = math.hypot(*s.ravel().tolist())
+    return 2.0 ** -max(round(math.log2(norm)) + e, -1023) if norm > 0.0 else 1.0
+
+
+def row_scales(x) -> np.ndarray:
+    """Per row, the power of two that takes its largest entry into [0.5, 1), at most 2^1022."""
+    top = np.abs(np.atleast_2d(np.asarray(x, dtype=np.float64))).max(axis=1, initial=0.0)
+    return np.ldexp(1.0, -np.maximum(np.frexp(top)[1], -1022))
 
 
 def deflate(resid: np.ndarray, basis: list[np.ndarray], j: int, norm: float) -> bool:
@@ -221,9 +227,9 @@ def deflate(resid: np.ndarray, basis: list[np.ndarray], j: int, norm: float) -> 
 
 def gram_schmidt(vs) -> np.ndarray:
     """Orthonormal rows spanning the rows of `vs`: one deflate step per row in
-    order, on the rows times unit_scale(vs); a row is dropped by its own norm."""
+    order, on the rows times row_scales(vs); a row is dropped by its own norm."""
     x = np.atleast_2d(np.asarray(vs, dtype=np.float64))
-    resid = unit_scale(x) * x
+    resid = row_scales(x)[:, None] * x
     basis: list[np.ndarray] = []
     for j, norm in enumerate(np.sqrt(np.einsum("ij,ij->i", resid, resid))):
         deflate(resid, basis, j, float(norm))

@@ -164,8 +164,8 @@ def solve_lp(a, b, c, ready: dict[int, int]) -> np.ndarray:
 def l1_representation(u, v) -> np.ndarray:
     """Minimum-l1 coefficients: argmin ||c||_1 subject to u.T @ c == v.
 
-    Row u_j enters the tableau times s_j, the power of two that takes its
-    largest entry into [0.5, 1) (capped at 2^1022), and v times
+    Row u_j enters the tableau times s_j = linalg.row_scales(u)[j], the power
+    of two that takes its largest entry into [0.5, 1), and v times
     s_v = unit_scale(v), so every row is near unit size however far apart
     the norms are; c = s (z+ - z-) / s_v, and the costs of z are s_j / min s:
     exact powers of two, the least 1, so the longest rows, which carry most
@@ -174,7 +174,7 @@ def l1_representation(u, v) -> np.ndarray:
     """
     u = as_matrix(u)
     v = np.asarray(v, dtype=np.float64)
-    s = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(u).max(axis=1, initial=0.0))[1], -1022))
+    s = linalg.row_scales(u)
     s_v = linalg.unit_scale(v)
     ut = (s[:, None] * u).T
     w = s / s.min(initial=math.inf)

@@ -1,6 +1,7 @@
 """Determinant maximization solvers and design objectives."""
 
 import math
+from fractions import Fraction
 from itertools import combinations, islice
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 
 from conftest import rank_four_in_r5
 from specspan import detmax, linalg, rng as rng_mod
+from specspan.coreset import compose
 from specspan.detmax import (Degenerate, DesignObjective, FractionalSolution,
                              TooLarge, brute_force_detmax, eval_design,
                              fractional_design, fractional_detmax,
                              fractional_objective, greedy_local_search,
                              nikolov_round)
+from specspan.hardgen import gen_hard_instance
 from specspan.spanner import volume_greedy
 from specspan.vectorset import VectorSet
 
@@ -174,11 +177,9 @@ def scalar_local_search(x: np.ndarray, k: int, max_rounds: int = 50, budget=None
 
 
 class TestLocalSearchAgainstScalarScan:
-    @pytest.mark.parametrize("chunk", [3, detmax.CHUNK])
     @pytest.mark.parametrize("seed,n,d,k", [(0, 9, 4, 3), (1, 9, 4, 4), (2, 14, 6, 5),
                                             (3, 30, 8, 6)])
-    def test_same_local_optimum(self, monkeypatch, chunk, seed, n, d, k):
-        monkeypatch.setattr(detmax, "CHUNK", chunk)
+    def test_same_local_optimum(self, seed, n, d, k):
         x = np.random.default_rng(seed).standard_normal((n, d))
         ref, cut = scalar_local_search(x, k)
         assert not cut
@@ -187,27 +188,87 @@ class TestLocalSearchAgainstScalarScan:
         rows = x[list(ref)]
         assert sol.value == pytest.approx(float(np.linalg.det(rows @ rows.T)), rel=1e-9)
 
-    @pytest.mark.parametrize("chunk", [3, detmax.CHUNK])
     @pytest.mark.parametrize("seed,n,d,k", [(15, 20, 6, 5), (48, 12, 5, 4),
                                             (124, 16, 4, 3)])
-    def test_budget_cut_after_one_round(self, monkeypatch, chunk, seed, n, d, k):
+    def test_budget_cut_after_one_round(self, seed, n, d, k):
         # max_rounds=1 allows n*k evaluations; on these inputs the scan runs
         # out of them before it reaches the local optimum
-        monkeypatch.setattr(detmax, "CHUNK", chunk)
         x = np.random.default_rng(seed).standard_normal((n, d))
         ref, cut = scalar_local_search(x, k, max_rounds=1)
         assert cut and ref != scalar_local_search(x, k)[0]
         assert greedy_local_search(VectorSet(x), k, max_rounds=1).indices == ref
 
-    @pytest.mark.parametrize("chunk", [3, detmax.CHUNK])
-    def test_last_evaluation_inside_budget_counts(self, monkeypatch, chunk):
+    def test_last_evaluation_inside_budget_counts(self):
         # here the (n*k)-th evaluation is an improving swap: one fewer
         # evaluation would end elsewhere
-        monkeypatch.setattr(detmax, "CHUNK", chunk)
         x = np.random.default_rng(41).standard_normal((10, 4))
         ref = scalar_local_search(x, 3, budget=30)[0]
         assert scalar_local_search(x, 3, budget=29)[0] != ref
         assert greedy_local_search(VectorSet(x), 3, max_rounds=1).indices == ref
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_local_optimum_on_hard_unions(self, seed):
+        # the lowerbound-hard shape: capped core-sets of a planted instance
+        # with norms spanning 1e6, searched at k = d = 12
+        inst = gen_hard_instance(12, 1.0, 1e6, seed, n_override=96)
+        x = compose(inst.parts, 12, max_size=12).union.vectors
+        ref, cut = scalar_local_search(x, 12)
+        assert not cut
+        assert greedy_local_search(VectorSet(x), 12).indices == ref
+
+    def test_one_frame_per_round(self, monkeypatch):
+        # each round prices its swaps from one frame of the current set: the
+        # sets framed run from the seed to the result, one swap apart
+        x = np.random.default_rng(5).standard_normal((40, 10))
+        frame, framed = linalg.gram_schmidt, []
+
+        def kept(rows):
+            framed.append({tuple(row) for row in rows})
+            return frame(rows)
+        monkeypatch.setattr(linalg, "gram_schmidt", kept)
+        sol = greedy_local_search(VectorSet(x), 8)
+        seed = volume_greedy(VectorSet(x), 8).indices
+        assert len(framed) == 5  # four swaps, then a round with none
+        assert framed[0] == {tuple(x[i]) for i in seed}
+        assert framed[-1] == {tuple(x[i]) for i in sol.indices}
+        assert all(len(a - b) == 1 for a, b in zip(framed, framed[1:]))
+
+
+def exact_det_gram(rows) -> Fraction:
+    """det of the Gram of `rows`, exactly: Fractions and Gaussian elimination."""
+    rows = [[Fraction(float(v)) for v in row] for row in rows]
+    g = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+    det = Fraction(1)
+    for j in range(len(g)):
+        det *= g[j][j]
+        for i in range(j + 1, len(g)):
+            f = g[i][j] / g[j][j]
+            g[i] = [a - f * b for a, b in zip(g[i], g[j])]
+    return det
+
+
+class TestSwapGains:
+    @pytest.mark.parametrize("spread", [0.0, 10.0, 30.0])
+    def test_against_exact_ratios(self, spread):
+        # every row times its own e^u, u uniform in [-spread, spread]
+        gen = np.random.default_rng(int(spread))
+        for _ in range(20):
+            x = gen.standard_normal((8, 5)) * np.exp(gen.uniform(-spread, spread, (8, 1)))
+            current = [int(i) for i in gen.permutation(8)[:3]]
+            cands = np.array([j for j in range(8) if j not in current])
+            gains = detmax._swap_gains(x, current, cands)
+            base = exact_det_gram(x[current])
+            for slot in range(3):
+                for col, c in enumerate(cands):
+                    trial = current.copy()
+                    trial[slot] = int(c)
+                    ratio = exact_det_gram(x[trial]) / base
+                    assert abs(Fraction(float(gains[slot, col])) - ratio) <= 1e-12 * ratio
+
+    def test_dependent_set_has_no_gains(self):
+        x = np.random.default_rng(0).standard_normal((6, 4))
+        x[2] = x[0] - 2.0 * x[1]
+        assert detmax._swap_gains(x, [0, 1, 2], np.arange(3, 6)) is None
 
 
 class TestFractionalDetmax:

@@ -353,6 +353,12 @@ class TestGramSchmidt:
         assert np.allclose(linalg.gram_schmidt(scale * x), linalg.gram_schmidt(x),
                            rtol=0.0, atol=1e-12)
 
+    def test_keeps_a_row_far_below_the_largest(self):
+        # scaled by the largest row's power of two, the short row's squares
+        # once underflowed and it was dropped
+        basis = linalg.gram_schmidt([[1.0, 0.0], [0.0, 1e-170]])
+        assert np.array_equal(basis, np.eye(2))
+
     @pytest.mark.parametrize("sine", [1e-9, 3e-10])
     def test_orthonormal_with_a_nearly_dependent_row(self, sine):
         # the last row is at `sine` to the span of the rows before it; one
@@ -400,6 +406,22 @@ class TestUnitScale:
         assert linalg.unit_scale(np.zeros((2, 3))) == 1.0
         # a subnormal input gets the largest factor, not an OverflowError
         assert linalg.unit_scale(np.array([5e-324, 0.0])) == 2.0 ** 1023
+        # a norm above the float range, of finite entries: no OverflowError
+        assert linalg.unit_scale([1.7e308, 1.7e308]) == 2.0 ** -1024
+        assert linalg.unit_scale([[1.0, 0.0], [1.7e308, 1.7e308]]) == 2.0 ** -1024
+
+
+class TestRowScales:
+    def test_largest_entry_into_half_open_unit(self, rng):
+        x = rng.standard_normal((40, 3)) * 10.0 ** rng.uniform(-300, 300, size=(40, 1))
+        s = linalg.row_scales(x)
+        assert np.all(np.frexp(s)[0] == 0.5)  # powers of two
+        top = np.max(np.abs(s[:, None] * x), axis=1)
+        assert np.all((0.5 <= top) & (top < 1.0))
+
+    def test_edge_rows(self):
+        s = linalg.row_scales([[0.0, 0.0], [5e-324, 0.0], [1.7e308, -1.7e308]])
+        assert s.tolist() == [1.0, 2.0 ** 1022, 2.0 ** -1024]
 
 
 class TestCholeskyHelpers:

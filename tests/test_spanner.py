@@ -242,19 +242,36 @@ class TestCoverageScreen:
 
     def test_build_makes_no_frame_of_its_own(self, monkeypatch):
         # the screen reads the build's frame; no gram_schmidt call is left in
-        # a d-spanner build, nor in the capped builds and greedy solve of the
-        # lower-bound experiment (made before the patch: random_rotation
-        # orthonormalizes with gram_schmidt)
+        # a d-spanner build, nor in the capped builds of the lower-bound
+        # experiment (its local search makes one frame per round, outside
+        # the builds; made before the patch: random_rotation orthonormalizes
+        # with gram_schmidt)
         x = unit_rows(np.random.default_rng(0), 150, 8)
         hard = hardgen.gen_hard_instance(8, 1.0, 1e6, 0, n_override=48)
         inst = hardgen.gen_hard_instance(12, 1.0, 1e6, 3, n_override=96)
+        build, frame = spanner.build_d_spanner, linalg.gram_schmidt
+        building, built, framed = [], [], []
+
+        def tracked(*args, **kwargs):
+            building.append(True)
+            try:
+                return build(*args, **kwargs)
+            finally:
+                built.append(building.pop())
 
         def refuse(vs):
-            raise AssertionError("gram_schmidt called")
+            if building:
+                raise AssertionError("gram_schmidt called in a build")
+            framed.append(vs)
+            return frame(vs)
+        monkeypatch.setattr(spanner, "build_d_spanner", tracked)
         monkeypatch.setattr(linalg, "gram_schmidt", refuse)
         for vs in [VectorSet(x), *hard.x_sets]:
-            assert check_witness_dominance(build_d_spanner(vs, default_alpha(8)))[0]
+            assert check_witness_dominance(spanner.build_d_spanner(vs, default_alpha(8)))[0]
+        assert not framed
         assert hardgen.lowerbound_experiment(inst, 12).objective > 0.0
+        assert len(built) == 1 + len(hard.x_sets) + len(inst.parts)  # one build per part
+        assert framed  # by the local search on the union
 
     def test_screen_sees_only_uncovered_rows_in_span(self, monkeypatch):
         x = unit_rows(np.random.default_rng(0), 150, 8)
