@@ -6,12 +6,12 @@ fractional solutions, and the D/E/A design objectives with their shared
 1/t scaling law.
 
 Brute force and rounding score CHUNK index sets at a time by one stacked
-Cholesky of Grams gathered from the input's n x n Gram; subset_value factors
-the Gram of its rows.  Local search prices every swap of a round from one
-Gram-Schmidt frame of the current set.  Both relaxations run one Frank-Wolfe
-loop that keeps its best iterate itself; it factors the start once and
-carries A^-1 and log det A by rank-one updates.  Every design value reads one
-Cholesky factor: a matrix without one is singular.
+Cholesky of Grams gathered from one Gram (rounding's: of its drawable rows);
+subset_value factors the Gram of its rows.  Local search prices every swap of
+a round from one Gram-Schmidt frame of the current set.  Both relaxations run
+one Frank-Wolfe loop that keeps its best iterate itself; it factors the start
+once and carries A^-1 and log det A by rank-one updates.  Every design value
+reads one Cholesky factor: a matrix without one is singular.
 """
 
 from __future__ import annotations
@@ -119,11 +119,14 @@ def brute_force_detmax(vs, k: int) -> Solution:
 
 def _swap_gains(x: np.ndarray, current: list[int], cands: np.ndarray) -> np.ndarray | None:
     """det(S - s + c) / det(S) for every slot s of `current` (rows) and every
-    candidate c (columns) from one frame Q = gram_schmidt(X_S); None when S is
-    dependent (Q has fewer rows).  Column N_s of N = (X_S Q^T)^-1, a lower
-    triangle, is normal in the frame to the other rows, with <x_s, N_s> = 1, so
-    the ratio ||Pc||^2 / ||P x_s||^2, P the projection off span(S - s), is
-    ||N_s||^2 ||c - Q^T Q c||^2 + <Qc, N_s>^2 (Fedorov's exchange identity)."""
+    candidate c (columns) from one frame Q = gram_schmidt(X_S), on the rows
+    times unit_scale(X_S) (exact, so nothing under- or overflows at any row
+    scale); None when S is dependent (Q has fewer rows).  Column N_s of
+    N = (X_S Q^T)^-1, a lower triangle, is normal in the frame to the other
+    rows, with <x_s, N_s> = 1, so the ratio ||Pc||^2 / ||P x_s||^2, P the
+    projection off span(S - s), is ||N_s||^2 ||c - Q^T Q c||^2 + <Qc, N_s>^2
+    (Fedorov's exchange identity)."""
+    x = linalg.unit_scale(x[current]) * x
     q = linalg.gram_schmidt(x[current])
     if len(q) < len(current):
         return None
@@ -200,18 +203,21 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
 
     All trials read one Philox stream: trial t takes its draws t*k to t*k+k-1,
     so results do not depend on CHUNK or THREADS.  The mean uses numpy's
-    pairwise summation.  Trials are drawn and scored CHUNK at a time, so beyond
-    the per-trial values memory is one chunk whatever `trials` is.
+    pairwise summation.  Trials are drawn and scored CHUNK at a time from the
+    Gram of the rows of positive weight, the only ones drawn (for a log-det
+    Frank-Wolfe solution at most d + iters of them, whatever n is).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
     v = as_vector_set(vs)
-    gram = v.vectors @ v.vectors.T
     s = sol.weights
     total = float(np.sum(s))
     if abs(total - k) > 1e-6:
         raise ValueError(f"weights must sum to k = {k} (got {total})")
-    cum = np.cumsum(s / total)
+    support = np.flatnonzero(s > 0.0)
+    xs = v.vectors[support]
+    gram = xs @ xs.T
+    cum = np.cumsum(s[support] / total)
     cum[-1] = 1.0
     values = np.empty(trials)
     best_val = -math.inf
@@ -225,7 +231,7 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
         if chunk[i] > best_val:
             best_val, best_draw = float(chunk[i]), draws[i]
     assert best_draw is not None
-    labels = tuple(sorted(int(v.labels[i]) for i in best_draw))
+    labels = tuple(sorted(int(v.labels[support[i]]) for i in best_draw))
     mean = float(np.sum(values) / trials)
     std = float(np.std(values, ddof=1)) if trials > 1 else 0.0
     best = Solution(labels, max(best_val, 0.0))

@@ -134,6 +134,16 @@ class TestGreedyLocalSearch:
                 assert greedy.value == brute.value
         assert same >= 150
 
+    @pytest.mark.parametrize("j", [-520, -500, 500, 520])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_same_picks_at_extreme_scales(self, j):
+        # every row times 2^j: the Gram entries and the value leave the float
+        # range, but the swap ratios do not depend on scale, nor may the picks
+        x = np.random.default_rng(21).standard_normal((30, 6))
+        ref = greedy_local_search(VectorSet(x), 4).indices
+        assert ref != tuple(sorted(volume_greedy(VectorSet(x), 4).indices))  # it swaps
+        assert greedy_local_search(VectorSet(2.0**j * x), 4).indices == ref
+
     def test_rank_deficient_padding(self, rng):
         x = np.vstack([np.eye(2), np.zeros((2, 2))])
         sol = greedy_local_search(VectorSet(x), 3)
@@ -218,19 +228,23 @@ class TestLocalSearchAgainstScalarScan:
 
     def test_one_frame_per_round(self, monkeypatch):
         # each round prices its swaps from one frame of the current set: the
-        # sets framed run from the seed to the result, one swap apart
+        # sets framed run from the seed to the result, one swap apart (rows
+        # are compared over their largest entry: the frame sees them scaled)
         x = np.random.default_rng(5).standard_normal((40, 10))
         frame, framed = linalg.gram_schmidt, []
 
+        def key(rows):
+            return {tuple(row / np.abs(row).max()) for row in rows}
+
         def kept(rows):
-            framed.append({tuple(row) for row in rows})
+            framed.append(key(rows))
             return frame(rows)
         monkeypatch.setattr(linalg, "gram_schmidt", kept)
         sol = greedy_local_search(VectorSet(x), 8)
         seed = volume_greedy(VectorSet(x), 8).indices
         assert len(framed) == 5  # four swaps, then a round with none
-        assert framed[0] == {tuple(x[i]) for i in seed}
-        assert framed[-1] == {tuple(x[i]) for i in sol.indices}
+        assert framed[0] == key(x[list(seed)])
+        assert framed[-1] == key(x[list(sol.indices)])
         assert all(len(a - b) == 1 for a, b in zip(framed, framed[1:]))
 
 
@@ -471,6 +485,28 @@ class TestNikolovRound:
         res = nikolov_round(VectorSet(x), frac, 1, 40, seed=0)
         assert res.best.indices == (first_max,)
         assert res.best.value == pytest.approx(9.0)
+
+    def test_gathers_from_the_weight_support(self):
+        # weight on 6 of 4,000 rows: the set Grams come from those rows'
+        # Gram, not from a 4,000 x 4,000 one (128 MB), and only they are drawn
+        import tracemalloc
+        x = np.random.default_rng(23).standard_normal((4000, 3))
+        support = [3, 700, 701, 2500, 3998, 3999]
+        weights = np.zeros(4000)
+        weights[support] = 0.5
+        frac = FractionalSolution(weights, 3.0)
+        tracemalloc.start()
+        try:
+            res = nikolov_round(VectorSet(x), frac, 3, 200, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
+        assert set(res.best.indices) <= set(support)
+        alone = nikolov_round(VectorSet(x[support]), FractionalSolution(np.full(6, 0.5), 3.0),
+                              3, 200, seed=4)
+        assert res.best.indices == tuple(support[i] for i in alone.best.indices)
+        assert (res.best.value, res.mean, res.std) == (alone.best.value, alone.mean, alone.std)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_guard(self, trials):
