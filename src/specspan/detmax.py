@@ -11,7 +11,7 @@ subset_value factors the Gram of its rows.  Local search prices every swap of
 a round from one Gram-Schmidt frame of the current set.  Both relaxations run
 one Frank-Wolfe loop that keeps its best iterate itself; it factors the start
 once and carries A^-1 and log det A by rank-one updates.  Every design value
-reads one Cholesky factor: a matrix without one is singular.
+reads linalg.inv_spd: a matrix without a Cholesky factor is singular.
 """
 
 from __future__ import annotations
@@ -238,16 +238,8 @@ def nikolov_round(vs, sol: FractionalSolution, k: int, trials: int,
     return RoundingResult(best, mean, std, trials)
 
 
-def _inverse(a: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """(A^-1, log det A) from A's Cholesky factor; None exactly when A has none."""
-    if (low := linalg.cholesky_spd(a)) is None:
-        return None
-    low_inv = linalg.solve_lower(low, np.eye(len(a)))
-    return low_inv.T @ low_inv, linalg.logdet_spd(low)
-
-
 def eval_design(vs, obj: DesignObjective, weights=None, indices=None) -> float:
-    """f(A), A = sum s_v vv^T, from _inverse's A^-1 and log det A: D is
+    """f(A), A = sum s_v vv^T, from linalg.inv_spd's A^-1 and log det A: D is
     exp(-log det A / d), A is tr A^-1 / d and E is lambda_max(A^-1) by
     sym_eig; +inf exactly when A has no Cholesky factor.
 
@@ -266,7 +258,7 @@ def eval_design(vs, obj: DesignObjective, weights=None, indices=None) -> float:
         a = (x.T * np.asarray(weights, dtype=np.float64)) @ x
     else:
         a = x.T @ x
-    if (found := _inverse(a)) is None:
+    if (found := linalg.inv_spd(a)) is None:
         return math.inf
     inv, logdet = found
     if obj is DesignObjective.D:
@@ -280,7 +272,7 @@ def eval_design(vs, obj: DesignObjective, weights=None, indices=None) -> float:
 def _fw_iterates(x: np.ndarray, s: np.ndarray, budget: float, obj: DesignObjective):
     """Frank-Wolfe on A = sum s_v vv^T, sum s = budget, step g = 2/(t+2), from
     the start `s`: yields each iterate's weights and value, stepping only when
-    the next iterate is asked for.  _inverse factors the start (Degenerate
+    the next iterate is asked for.  linalg.inv_spd inverts the start (Degenerate
     without a factor); B = A^-1 and log det A are carried through
     A' = (1-g)(A + c qq^T), c = g budget/(1-g), b = Bq, by Sherman-Morrison
     B' = (B - c bb^T/(1 + c q.b))/(1-g) and the determinant lemma
@@ -288,7 +280,7 @@ def _fw_iterates(x: np.ndarray, s: np.ndarray, budget: float, obj: DesignObjecti
     scores v^T B v; A: tr B and scores ||Bv||^2; E: lambda_max(B) by sym_eig
     and scores <v, w>^2, w its eigenvector."""
     d = x.shape[1]
-    if (start := _inverse((x.T * s) @ x)) is None:
+    if (start := linalg.inv_spd((x.T * s) @ x)) is None:
         raise Degenerate(f"the start's Gram has no Cholesky factor (d = {d})")
     inv, logdet = start
     for t in count(1):

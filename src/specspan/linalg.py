@@ -5,9 +5,10 @@ that bring a vector or a matrix's largest row near unit norm (unit_scale) or
 each row's largest entry into [0.5, 1) (row_scales), one Gram-Schmidt step
 (deflate: a row is dropped by its own norm) and Gram-Schmidt on it,
 projection, det_k, the eigenvalue-tail order check, and a Cholesky factor (of
-one matrix, or of a whole stack one column step at a time) with forward and
-back substitution, solves, log-dets and Gram determinants for
-positive-definite systems; a stack member gets the bits of its lone call.
+one matrix, or of a whole stack one column step at a time) with forward
+substitution.  The factor has two readers: inv_spd, the one inverse (with
+log det) of a positive-definite matrix, and Gram determinants; a stack member
+gets the bits of its lone call.
 Factorization algorithms are implemented here directly on float64 arrays;
 numpy supplies array arithmetic only.  The Jacobi rotations run on Python
 floats, entry by entry; numpy validates its input and runs its stop test
@@ -275,20 +276,14 @@ def solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def solve_upper(low: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Back substitution, L^T x = y (y may be a matrix)."""
-    x = np.array(y, dtype=np.float64)
-    for i in range(low.shape[0] - 1, -1, -1):
-        x[i] = (x[i] - low[i + 1:, i] @ x[i + 1:]) / low[i, i]
-    return x
-
-
-def solve_spd(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A by its Cholesky factor."""
-    low = cholesky_spd(a)
-    if low is None:
-        raise ValueError("matrix is not positive definite")
-    return solve_upper(low, solve_lower(low, b))
+def inv_spd(a) -> tuple[np.ndarray, float] | None:
+    """(A^-1, log det A) of a positive-definite matrix from its Cholesky factor
+    L: A^-1 = L^-T L^-1, L^-1 by forward substitution; None exactly when
+    cholesky_spd has no factor."""
+    if (low := cholesky_spd(a)) is None:
+        return None
+    low_inv = solve_lower(low, np.eye(len(low)))
+    return low_inv.T @ low_inv, 2.0 * float(np.sum(np.log(np.diag(low))))
 
 
 def det_gram(g) -> float | np.ndarray:
@@ -300,7 +295,3 @@ def det_gram(g) -> float | np.ndarray:
     dets = np.float_power(np.prod(np.diagonal(low, axis1=1, axis2=2), axis=1), 2.0)
     return dets if m.ndim == 3 else float(dets[0])
 
-
-def logdet_spd(low: np.ndarray) -> float:
-    """log det A from A's Cholesky factor `low`."""
-    return 2.0 * float(np.sum(np.log(np.diag(low))))

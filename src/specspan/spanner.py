@@ -128,17 +128,16 @@ def _coverage_screen(x: np.ndarray, u: np.ndarray, basis: np.ndarray,
     By LP duality t*(v, U) = 1 / min{sum |c| : sum c_u u = v}, so any
     representation with small enough l1 norm certifies coverage without
     touching the LP.  The min-l2 representation comes from the build's frame
-    `basis` (orthonormal rows spanning U), where U has full column rank r: a
-    Cholesky solve of the r x r normal equations.  Soundness rests on the
-    residual and l1 tests of the returned C alone; a poor frame certifies
-    nothing and leaves every row to the LP.  Conservative near the threshold.
+    `basis` B (orthonormal rows spanning U), where U has full column rank r:
+    C = (X B^T) G^-1 Ut^T with Ut = U B^T and G^-1 the linalg.inv_spd of the
+    r x r Ut^T Ut.  Soundness rests on the residual and l1 tests of the
+    returned C alone; a poor frame certifies nothing and leaves every row to
+    the LP.  Conservative near the threshold.
     """
     ut = u @ basis.T
-    try:
-        z = linalg.solve_spd(ut.T @ ut, (x @ basis.T).T)
-    except ValueError:
+    if (found := linalg.inv_spd(ut.T @ ut)) is None:
         return np.zeros(x.shape[0], dtype=bool)
-    coeffs = (ut @ z).T
+    coeffs = (x @ basis.T) @ found[0] @ ut.T
     resid = coeffs @ u - x
     x_norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     r_norms = np.sqrt(np.einsum("ij,ij->i", resid, resid))
@@ -401,10 +400,12 @@ def projection_domination_holds(vs, m: int, k: int, tol: float = 1e-7) -> bool:
     """Orthogonal-component bound behind the volume-greedy stage.
 
     For U from volume_greedy(V, m) with m > 2k, every v satisfies
-    proj_perp(v) proj_perp(v)^T <=_k 2 m^(2k/m) * mean_u uu^T.
+    proj_perp(v) proj_perp(v)^T <=_k 2 m^(2k/m) * mean_u uu^T.  Every vector
+    is scaled by the input's linalg.unit_scale first, as in verify_k_spanner.
     """
     v = as_vector_set(vs)
-    vol = volume_greedy(v, m)
+    x = linalg.unit_scale(v.vectors) * v.vectors  # exact; keeps every pick
+    vol = volume_greedy(x, m)
     mm = vol.size
     if mm == 0:
         return False
@@ -412,7 +413,7 @@ def projection_domination_holds(vs, m: int, k: int, tol: float = 1e-7) -> bool:
     gamma = 2.0 * mm ** (2.0 * k / mm)
     mean_outer = vol.vectors.T @ vol.vectors / mm
     rhs = gamma * mean_outer
-    for row in v.vectors:
+    for row in x:
         perp = linalg.project_orth(row, basis)
         if not linalg.preceq_k(np.outer(perp, perp), rhs, k, tol):
             return False

@@ -554,7 +554,7 @@ class TestEvalDesign:
         x = rng.standard_normal((7, 3))
         w = rng.uniform(0.0, 2.0, size=(200, 7))
         for s in w:
-            logdet = linalg.logdet_spd(linalg.cholesky_spd((x.T * s) @ x))
+            logdet = linalg.inv_spd((x.T * s) @ x)[1]
             expect = math.exp(-logdet / 3)
             assert eval_design(x, DesignObjective.D, weights=s) == expect
 

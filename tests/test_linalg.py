@@ -1,6 +1,7 @@
 """Linear algebra kernel against independent numpy/enumeration oracles."""
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specspan import linalg
-from conftest import principal_minor_detk, random_psd
+from specspan import detmax, linalg, spanner
+from specspan.coreset import partition, run_pipeline
+from specspan.vectorset import VectorSet
+from conftest import principal_minor_detk, random_psd, unit_rows
 
 
 class TestSymEig:
@@ -444,33 +447,60 @@ class TestCholeskyHelpers:
         assert scaled == pytest.approx(linalg.det_gram(g) * float(np.prod(scales)) ** 2, rel=1e-9)
         assert linalg.cholesky_spd(np.diag([1e20, 1.0])) is not None
 
-    def test_solve_spd(self, rng):
-        a = random_psd(rng, 5) + np.eye(5)
-        b = rng.standard_normal(5)
-        x = linalg.solve_spd(a, b)
-        assert np.allclose(a @ x, b, atol=1e-9)
-
-    def test_solve_spd_singular_raises(self):
-        with pytest.raises(ValueError, match="not positive definite"):
-            linalg.solve_spd(np.diag([1.0, 0.0]), np.ones(2))
-
-    def test_solve_upper(self, rng):
-        a = random_psd(rng, 5) + np.eye(5)
-        low = linalg.cholesky_spd(a)
-        for y in (rng.standard_normal(5), rng.standard_normal((5, 3))):
-            kept = y.copy()
-            x = linalg.solve_upper(low, y)
-            assert np.allclose(x, np.linalg.solve(low.T, y), rtol=1e-12, atol=1e-12)
-            assert np.array_equal(y, kept)
+    def test_inv_spd_matches_numpy(self, rng):
+        for n in (1, 3, 5, 12):
+            a = random_psd(rng, n) + np.eye(n)
+            kept = a.copy()
+            inv, logdet = linalg.inv_spd(a)
+            assert np.allclose(a @ inv, np.eye(n), rtol=1e-12, atol=1e-12)
+            assert logdet == pytest.approx(float(np.linalg.slogdet(a)[1]), abs=1e-10)
+            assert np.array_equal(a, kept)
 
     def test_precomputed_factor_gives_same_bits(self, rng):
-        # the Frank-Wolfe steps reuse one factor for both substitutions
+        # inv_spd reads cholesky_spd's factor: its bits are the factor's, by hand
         a = random_psd(rng, 5) + np.eye(5)
         low = linalg.cholesky_spd(a)
-        b = rng.standard_normal((5, 3))
-        two_solves = linalg.solve_upper(low, linalg.solve_lower(low, b))
-        assert np.array_equal(linalg.solve_spd(a, b), two_solves)
-        assert linalg.logdet_spd(low) == pytest.approx(math.log(np.linalg.det(a)), abs=1e-10)
+        low_inv = linalg.solve_lower(low, np.eye(5))
+        inv, logdet = linalg.inv_spd(a)
+        assert np.array_equal(inv, low_inv.T @ low_inv)
+        assert logdet == 2.0 * float(np.sum(np.log(np.diag(low))))
+
+    @pytest.mark.parametrize("a, factored", [
+        (np.diag([1.0, 0.0]), False), ([[1.0, 2.0], [2.0, 1.0]], False),
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-14]], False), (np.diag([1e20, 1.0]), True),
+        ([[2.0, 1.0], [1.0, 2.0]], True)])
+    def test_inv_spd_none_exactly_without_factor(self, a, factored):
+        assert (linalg.cholesky_spd(a) is not None) == factored
+        assert (linalg.inv_spd(a) is not None) == factored
+
+
+def test_cholesky_spd_has_two_callers(monkeypatch, rng):
+    # every lone factor is read by inv_spd, every stack by det_gram: run a
+    # pipeline, a certify-strong-shaped and a detmax-offline-shaped job
+    callers = []
+    real = linalg.cholesky_spd
+
+    def spy(a):
+        frame = sys._getframe(1)
+        callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        return real(a)
+
+    monkeypatch.setattr(linalg, "cholesky_spd", spy)
+    x = unit_rows(rng, 80, 8)
+    run_pipeline(partition(VectorSet(x), 3), 2)
+    sp = spanner.build_d_spanner(x[:9], 8.0)
+    spanner.verify_weak(x[:9], sp, 8.0)
+    spanner.certify_all(x[:9], sp, 8.0)
+    y = unit_rows(rng, 2, 16)
+    spanner.verify_k_spanner(y, spanner.build_k_spanner(y, 2), 2, 64.0 * (1.0 + math.log(2.0)) ** 3)
+    z = rng.standard_normal((12, 5))
+    detmax.brute_force_detmax(z, 5)
+    detmax.greedy_local_search(z, 5)
+    frac = detmax.fractional_detmax(z, 5, iters=40)
+    detmax.nikolov_round(z, frac, 5, 50, 3)
+    for obj in detmax.DesignObjective:
+        detmax.eval_design(z, obj, weights=detmax.fractional_design(z, obj, 5.0, iters=10).weights)
+    assert set(callers) == {("specspan.linalg", "inv_spd"), ("specspan.linalg", "det_gram")}
 
 
 def gram_stack(rng, b: int, k: int, d: int, scale: float = 1.0) -> np.ndarray:

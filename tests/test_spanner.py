@@ -692,3 +692,9 @@ class TestVerifyKSpanner:
         for k in (1, 2):
             x = unit_rows(rng, 80, 8)
             assert projection_domination_holds(VectorSet(x), 2 * k + 2, k)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600, 1e160, 1e-160])
+    def test_projection_domination_is_scale_free(self, scale):
+        # its rows are scaled by linalg.unit_scale first, as verify_k_spanner's are
+        x = unit_rows(np.random.default_rng(0), 40, 12)
+        assert projection_domination_holds(VectorSet(scale * x), 8, 2)
