@@ -2,13 +2,12 @@
 
 The greedy build repeatedly finds a vector whose squared projection along some
 direction beats every chosen vector by a factor alpha, then adds the input
-vector with the largest projection along that direction.  It keeps one span
-frame per build, which its coverage screen reads.  Every verifier settles
-coverage by one minimum-l1 representation of v over U (Elfving's theorem),
-with its own span frame of U computed once per call: the per-direction (weak)
-property, exact per-vector certificates, and the k-order variant that mixes a
-volume-greedy stage with a spanner built in the projected frame.  One
-scale-free rule decides which rows are zero, for the build and every verifier.
+vector with the largest projection along that direction.  The build and the
+per-direction (weak) check share one coverage rule: a cheap screen, then the
+domination LP, which supplies the witness.  Exact per-vector certificates and
+the k-order check, which mixes a volume-greedy stage with a spanner built in
+the projected frame, share one certifier: the minimum-l1 representation of v
+over U (Elfving's theorem).  One scale-free rule decides which rows are zero.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ def _coverage_screen(x: np.ndarray, u: np.ndarray, basis: np.ndarray,
 
     By LP duality t*(v, U) = 1 / min{sum |c| : sum c_u u = v}, so any
     representation with small enough l1 norm certifies coverage without
-    touching the LP.  The min-l2 representation comes from the build's frame
+    touching the LP.  The min-l2 representation comes from the caller's frame
     `basis` B (orthonormal rows spanning U), where U has full column rank r:
     C = (X B^T) G^-1 Ut^T with Ut = U B^T and G^-1 the linalg.inv_spd of the
     r x r Ut^T Ut.  Soundness rests on the residual and l1 tests of the
@@ -146,21 +145,37 @@ def _coverage_screen(x: np.ndarray, u: np.ndarray, basis: np.ndarray,
     return in_span & (l1 <= math.sqrt(alpha) * (1.0 - SCREEN_SLACK))
 
 
+def _first_uncovered(x: np.ndarray, u: np.ndarray, basis: np.ndarray, resid: np.ndarray,
+                     norms: np.ndarray, covered: np.ndarray, alpha: float):
+    """The coverage rule of the build and the weak check: the first row of x
+    that U does not cover, with its witness, or None; marks `covered`.  The
+    uncovered rows whose residual against U's frame `basis` is at most
+    NOT_IN_SPAN_REL of their norm go to _coverage_screen (no other row can
+    pass it), the rest to domination_check in row order.  The screen marks
+    only rows the LP covers too, so it moves no verdict and no witness.
+    """
+    near = ~covered & (np.sqrt(np.einsum("ij,ij->i", resid, resid)) <= NOT_IN_SPAN_REL * norms)
+    if near.any():
+        covered[near] = _coverage_screen(x[near], u, basis, alpha)
+    for i in np.flatnonzero(~covered):
+        res = domination_check(x[i], u, alpha)
+        if not res.covered:
+            return int(i), res.witness
+        covered[i] = True
+    return None
+
+
 def build_d_spanner(vs, alpha: float, max_size: int | None = None) -> Spanner:
     """Greedy spectral spanner for the full-dimensional order.
 
     Scans the input from index 0, adds argmax_u <u, x>^2 for the witness
-    direction x of the first uncovered vector, and rescans until every vector
-    is covered.  Coverage is monotone in U, so a covered vector is never
-    tested again.  One span frame serves the build: one linalg.deflate step
-    per pick, in pick order, keeps the rows' residuals against span(U) and an
-    orthonormal basis of span(U).  A cheap
-    dual-feasibility screen reads that basis and sees only the uncovered rows
-    whose residual is at most NOT_IN_SPAN_REL of the row: no other row can
-    pass it.  The LP gives every row the screen leaves the verdict the screen
-    would, so the screen moves no pick.  The rows are scaled by one power of
-    two (linalg.unit_scale), which is exact and leaves every pick; the
-    witnesses are scaled back.
+    direction x of the first uncovered vector (_first_uncovered), and rescans
+    until every vector is covered; coverage is monotone in U, so a covered
+    vector is never tested again.  One span frame serves the build: one
+    linalg.deflate step per pick keeps the rows' residuals against span(U)
+    and an orthonormal basis of it.  The rows are scaled by one exact power
+    of two (linalg.unit_scale), which leaves every pick; the witnesses are
+    scaled back.
     """
     check_alpha(alpha)
     x, labels = _ingest(vs)
@@ -174,24 +189,14 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None) -> Spanner:
     picks: list[int] = []
     wits: list[np.ndarray] = []
     while max_size is None or len(picks) < max_size:
-        in_span = ~covered & (np.sqrt(np.einsum("ij,ij->i", resid, resid))
-                              <= NOT_IN_SPAN_REL * norms)
-        if in_span.any():
-            covered[in_span] = _coverage_screen(xs[in_span], xs[picks],
-                                                np.array(basis), alpha)
-        for i in np.flatnonzero(~covered):
-            res = domination_check(xs[i], xs[picks], alpha)
-            if res.covered:
-                covered[i] = True
-                continue
-            j = int(np.argmax((xs @ res.witness) ** 2))
-            picks.append(j)
-            wits.append(scale * res.witness)
-            covered[j] = True  # a member of U always has t* >= 1 >= 1/sqrt(alpha)
-            linalg.deflate(resid, basis, j, float(norms[j]))
+        found = _first_uncovered(xs, xs[picks], np.array(basis), resid, norms, covered, alpha)
+        if found is None:
             break
-        else:
-            break
+        j = int(np.argmax((xs @ found[1]) ** 2))
+        picks.append(j)
+        wits.append(scale * found[1])
+        covered[j] = True  # a member of U always has t* >= 1 >= 1/sqrt(alpha)
+        linalg.deflate(resid, basis, j, float(norms[j]))
 
     sp = Spanner(
         indices=[int(labels[j]) for j in picks],
@@ -222,29 +227,22 @@ def check_witness_dominance(sp: Spanner, tol: float = DOMINANCE_TOL) -> tuple[bo
 def verify_weak(vs, sp, alpha: float) -> tuple[bool, tuple[int, np.ndarray] | None]:
     """Check every input vector is dominated in every direction.
 
-    A vector is covered when its minimum-l1 representation over U has norm
-    at most 1/cover_threshold(alpha): by LP duality domination_check's
-    t* = 1/||c||_1, so the threshold is the same.  Any other vector goes to
-    domination_check, which settles it and supplies the witness.  Returns
-    (True, None) or (False, (label, x)) for the first violating vector and
-    its witness direction.
+    The build's coverage rule (_first_uncovered) over U's gram_schmidt frame,
+    on x and U times one exact power of two; zero rows count as covered.
+    Returns (True, None) or (False, (label, x)) for the first violating
+    vector and its witness direction.
     """
     check_alpha(alpha)
     v = as_vector_set(vs)
     u = sp.vectors if isinstance(sp, Spanner) else as_matrix(sp)
-    x = v.vectors
-    coefficients = _certifier(u)
-    limit = 1.0 / cover_threshold(alpha)
-    for i in np.flatnonzero(_nonzero_rows(x)):
-        try:
-            if float(np.sum(coefficients(x[i]))) <= limit:
-                continue
-        except NotInSpan:
-            pass
-        res = domination_check(x[i], u, alpha)
-        if not res.covered:
-            return False, (int(v.labels[i]), res.witness)
-    return True, None
+    scale = linalg.unit_scale(np.vstack([v.vectors, u]))
+    x, u = scale * v.vectors, scale * u
+    basis = linalg.gram_schmidt(u)
+    found = _first_uncovered(x, u, basis, x - (x @ basis.T) @ basis,
+                             np.sqrt(np.einsum("ij,ij->i", x, x)),
+                             ~_nonzero_rows(x), alpha)
+    return (True, None) if found is None else (
+        False, (int(v.labels[found[0]]), scale * found[1]))
 
 
 def _certifier(u: np.ndarray):
@@ -252,10 +250,12 @@ def _certifier(u: np.ndarray):
 
     U's span frame and its exact-member map are computed once.  An exact
     member of U gets a point mass on its first copy; anything else gets the
-    l1 LP in the frame, where U has full rank.  Raises NotInSpan.
+    l1 LP in the frame, where U has full rank, on U and v times the exact
+    linalg.unit_scale(U).  Raises NotInSpan.
     """
     basis = linalg.gram_schmidt(u)
-    ut = u @ basis.T
+    scale_u = linalg.unit_scale(u)
+    ut = (scale_u * u) @ basis.T
     first: dict[bytes, int] = {}
     for j, row in enumerate(u + 0.0):  # + 0.0 makes -0.0 and 0.0 one key
         first.setdefault(row.tobytes(), j)
@@ -272,7 +272,7 @@ def _certifier(u: np.ndarray):
         if linalg.vec_norm(resid) > NOT_IN_SPAN_REL * linalg.vec_norm(scale * v):
             raise NotInSpan("vector has a component outside span(U)")
         try:
-            return np.abs(l1_representation(ut, vt))
+            return np.abs(l1_representation(ut, scale_u * vt))
         except Infeasible as exc:
             raise NotInSpan("no representation of the vector over U") from exc
     return coefficients

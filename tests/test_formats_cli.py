@@ -100,8 +100,8 @@ def run_cli(args: list[str], capsys) -> tuple[int, str, str]:
 
 
 PROBE_FILES = ["mixed-1e9", "mixed-1e10", "mixed-1e11", "twin", "zeros", "one-column",
-               # its Gram entries overflow, and numpy says so; the run must still
-               # end in a documented exit code (an OverflowError once escaped)
+               # its Gram entries overflow in detmax, and numpy says so; the run must
+               # still end in a documented exit code (an OverflowError once escaped)
                pytest.param("huge", marks=pytest.mark.filterwarnings(
                    "ignore:overflow encountered:RuntimeWarning"))]
 PROBE_COMMANDS = ([["spanner", "--verify", v] for v in ("weak", "strong", "k")]
@@ -280,6 +280,15 @@ class TestCli:
         assert "Traceback" not in err
         if out:
             json.loads(out)  # exactly one JSON document
+
+    @pytest.mark.parametrize("mode", ["weak", "strong", "k"])
+    def test_huge_probe_verifies_without_overflow(self, probe_corpus, capsys, mode):
+        # no overflow filter here: U's frame coordinates were once formed on
+        # the unscaled row (1.7e308, 1.7e308), and numpy warned of overflow
+        code, out, err = run_cli(["spanner", "--input", probe_corpus["huge"],
+                                  "--verify", mode], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "pass"
 
     @pytest.mark.parametrize("name", ["mixed-1e9", "mixed-1e10", "mixed-1e11"])
     def test_mixed_scale_probe_passes_every_verifier(self, probe_corpus, capsys, tmp_path,

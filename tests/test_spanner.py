@@ -367,6 +367,69 @@ class TestVerifyWeak:
         ok, _ = verify_weak(VectorSet(x), union, alpha)
         assert ok
 
+    def test_screen_moves_no_verdict_nor_witness(self, weak_case, monkeypatch):
+        # the screen marks only rows the domination LP covers too: with it
+        # off, the verdict, the first failing row and its witness are the
+        # same, bit for bit
+        vs, u, alpha = weak_case
+        screen, marked = spanner._coverage_screen, []
+
+        def counted(*args):
+            marked.extend(out := screen(*args))
+            return out
+        monkeypatch.setattr(spanner, "_coverage_screen", counted)
+        ok, violation = verify_weak(vs, u, alpha)
+        assert marked  # the screen saw the rows in span(U)
+        monkeypatch.setattr(spanner, "_coverage_screen",
+                            lambda x, u, basis, alpha: np.zeros(len(x), dtype=bool))
+        ok_off, violation_off = verify_weak(vs, u, alpha)
+        assert ok == ok_off and (violation is None) == (violation_off is None)
+        if violation is not None:
+            assert violation[0] == violation_off[0]
+            assert violation[1].tobytes() == violation_off[1].tobytes()
+
+    def test_runs_no_l1_lp_and_one_domination_lp_per_row(self, weak_case, monkeypatch):
+        # coverage is the build's rule: the screen, then at most one
+        # domination_check per nonzero row; the l1 LP is for certificates
+        vs, u, alpha = weak_case
+        x = np.vstack([vs.vectors, np.zeros(vs.dim)])  # a zero row is never checked
+        checked = []
+
+        def refuse(*args):
+            raise AssertionError("verify_weak ran the l1 LP")
+
+        def check(v, u, alpha):
+            checked.append(v.tobytes())
+            return domination_check(v, u, alpha)
+        monkeypatch.setattr(spanner, "l1_representation", refuse)
+        monkeypatch.setattr(spanner, "domination_check", check)
+        verify_weak(VectorSet(x), u, alpha)
+        assert len(checked) == len(set(checked)) <= len(x) - 1
+        assert bytes(8 * vs.dim) not in checked
+
+
+@pytest.fixture(params=["build-output", "half-spanner-1", "half-spanner-1e-170",
+                        "all-ones-over-axes", "union-of-spanners"])
+def weak_case(request):
+    """(input, U, alpha) for the weak check: a build's own output (d = 8,
+    n = 500), a spanner of the first half at two scales, E1+E2+E3 over the
+    axes at alpha = 4, and a union of two spanners."""
+    name = request.param
+    if name == "build-output":
+        x = unit_rows(np.random.default_rng(5), 500, 8)
+        return VectorSet(x), build_d_spanner(VectorSet(x), default_alpha(8)), default_alpha(8)
+    if name.startswith("half-spanner"):
+        scale = float(name.removeprefix("half-spanner-"))
+        x = unit_rows(np.random.default_rng(3), 200, 8)
+        sp = build_d_spanner(VectorSet(x[:100]), 4.0)
+        return VectorSet(scale * x), scale * sp.vectors, 4.0
+    if name == "all-ones-over-axes":
+        return VectorSet(I3.sum(axis=0)[None, :]), I3, 4.0
+    x = unit_rows(np.random.default_rng(7), 200, 5)
+    union = np.vstack([build_d_spanner(VectorSet(half), default_alpha(5)).vectors
+                       for half in (x[:100], x[100:])])
+    return VectorSet(x), union, default_alpha(5)
+
 
 class TestStrongCertificate:
     def test_member_is_point_mass(self):
