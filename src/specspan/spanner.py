@@ -129,18 +129,20 @@ def _coverage_screen(x: np.ndarray, u: np.ndarray, basis: np.ndarray,
     touching the LP.  The min-l2 representation comes from the caller's frame
     `basis` B (orthonormal rows spanning U), where U has full column rank r:
     C = (X B^T) G^-1 Ut^T with Ut = U B^T and G^-1 the linalg.inv_spd of the
-    r x r Ut^T Ut.  Soundness rests on the residual and l1 tests of the
-    returned C alone; a poor frame certifies nothing and leaves every row to
-    the LP.  Conservative near the threshold.
+    r x r Ut^T Ut, on U times its unit_scale and the norms on rows times their
+    row_scales (exact; no square under- or overflows).  Soundness rests on the
+    residual and l1 tests of C alone; a poor frame certifies nothing and
+    leaves every row to the LP.  Conservative near the threshold.
     """
-    ut = u @ basis.T
+    scale = linalg.unit_scale(u)
+    ut = (scale * u) @ basis.T
     if (found := linalg.inv_spd(ut.T @ ut)) is None:
         return np.zeros(x.shape[0], dtype=bool)
-    coeffs = (x @ basis.T) @ found[0] @ ut.T
-    resid = coeffs @ u - x
-    x_norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    r_norms = np.sqrt(np.einsum("ij,ij->i", resid, resid))
-    in_span = r_norms <= SPAN_RESIDUAL_REL * x_norms
+    coeffs = scale * ((x @ basis.T) @ found[0] @ ut.T)
+    rs = linalg.row_scales(x)[:, None]
+    xr, resid = rs * x, rs * (coeffs @ u - x)
+    in_span = (np.sqrt(np.einsum("ij,ij->i", resid, resid))
+               <= SPAN_RESIDUAL_REL * np.sqrt(np.einsum("ij,ij->i", xr, xr)))
     l1 = np.sum(np.abs(coeffs), axis=1)
     return in_span & (l1 <= math.sqrt(alpha) * (1.0 - SCREEN_SLACK))
 
@@ -171,11 +173,9 @@ def build_d_spanner(vs, alpha: float, max_size: int | None = None) -> Spanner:
     Scans the input from index 0, adds argmax_u <u, x>^2 for the witness
     direction x of the first uncovered vector (_first_uncovered), and rescans
     until every vector is covered; coverage is monotone in U, so a covered
-    vector is never tested again.  One span frame serves the build: one
-    linalg.deflate step per pick keeps the rows' residuals against span(U)
-    and an orthonormal basis of it.  The rows are scaled by one exact power
-    of two (linalg.unit_scale), which leaves every pick; the witnesses are
-    scaled back.
+    vector is never tested again.  One linalg.deflate step per pick keeps the
+    rows' residuals against span(U) and its orthonormal basis.  The rows are
+    scaled by the exact linalg.unit_scale (same picks; witnesses scaled back).
     """
     check_alpha(alpha)
     x, labels = _ingest(vs)
@@ -228,9 +228,9 @@ def verify_weak(vs, sp, alpha: float) -> tuple[bool, tuple[int, np.ndarray] | No
     """Check every input vector is dominated in every direction.
 
     The build's coverage rule (_first_uncovered) over U's gram_schmidt frame,
-    on x and U times one exact power of two; zero rows count as covered.
-    Returns (True, None) or (False, (label, x)) for the first violating
-    vector and its witness direction.
+    on x and U times one exact power of two; rows the build drops as zero
+    (unscaled) count as covered.  Returns (True, None) or (False, (label, x))
+    for the first violating vector and its witness direction.
     """
     check_alpha(alpha)
     v = as_vector_set(vs)
@@ -240,7 +240,7 @@ def verify_weak(vs, sp, alpha: float) -> tuple[bool, tuple[int, np.ndarray] | No
     basis = linalg.gram_schmidt(u)
     found = _first_uncovered(x, u, basis, x - (x @ basis.T) @ basis,
                              np.sqrt(np.einsum("ij,ij->i", x, x)),
-                             ~_nonzero_rows(x), alpha)
+                             ~_nonzero_rows(v.vectors), alpha)
     return (True, None) if found is None else (
         False, (int(v.labels[found[0]]), scale * found[1]))
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +101,7 @@ def run_cli(args: list[str], capsys) -> tuple[int, str, str]:
 
 
 PROBE_FILES = ["mixed-1e9", "mixed-1e10", "mixed-1e11", "twin", "zeros", "one-column",
-               # its Gram entries overflow in detmax, and numpy says so; the run must
-               # still end in a documented exit code (an OverflowError once escaped)
-               pytest.param("huge", marks=pytest.mark.filterwarnings(
-                   "ignore:overflow encountered:RuntimeWarning"))]
+               "huge"]
 PROBE_COMMANDS = ([["spanner", "--verify", v] for v in ("weak", "strong", "k")]
                   + [["pipeline", "--k", "1", "--solver", s]
                      for s in ("greedy", "brute", "fw-round")]
@@ -274,21 +272,20 @@ class TestCli:
     def test_probe_ends_in_documented_exit_code(self, probe_corpus, capsys, name, command):
         # the mixed-scale files once ended 9 of these runs in a traceback
         # (lp.Unbounded or NotInSpan out of a build or a verifier)
-        code, out, err = run_cli([command[0], "--input", probe_corpus[name],
-                                  *command[1:]], capsys)
+        with warnings.catch_warnings():
+            if name == "huge" and command[0] != "spanner":
+                # its Gram entries overflow in detmax, and numpy says so; the run must
+                # still end in a documented exit code (an OverflowError once escaped)
+                warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            code, out, err = run_cli([command[0], "--input", probe_corpus[name],
+                                      *command[1:]], capsys)
+        if name == "huge" and command[0] == "spanner":
+            # no filter here: a numpy warning would be an error and end the run early
+            assert (code, json.loads(out)["verdict"]) == (0, "pass")
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
         if out:
             json.loads(out)  # exactly one JSON document
-
-    @pytest.mark.parametrize("mode", ["weak", "strong", "k"])
-    def test_huge_probe_verifies_without_overflow(self, probe_corpus, capsys, mode):
-        # no overflow filter here: U's frame coordinates were once formed on
-        # the unscaled row (1.7e308, 1.7e308), and numpy warned of overflow
-        code, out, err = run_cli(["spanner", "--input", probe_corpus["huge"],
-                                  "--verify", mode], capsys)
-        assert (code, err) == (0, "")
-        assert json.loads(out)["verdict"] == "pass"
 
     @pytest.mark.parametrize("name", ["mixed-1e9", "mixed-1e10", "mixed-1e11"])
     def test_mixed_scale_probe_passes_every_verifier(self, probe_corpus, capsys, tmp_path,

@@ -309,13 +309,16 @@ class TestVerifyWeak:
         sp = build_d_spanner(VectorSet(x), alpha)
         assert verify_weak(VectorSet(x), sp, alpha)[0]
 
-    def test_missing_direction_fails_with_witness(self):
-        vs = VectorSet(np.array([E1, E2]))
-        ok, violation = verify_weak(vs, np.array([E1]), 16.0)
+    # rows far below U once had squared norms that underflowed in the
+    # screen, which then took E2 for a member of span(U)
+    @pytest.mark.parametrize("v_scale, u_scale", [(1.0, 1.0), (1e-170, 1.0), (1e100, 1e300)])
+    def test_missing_direction_fails_with_witness(self, v_scale, u_scale):
+        vs = VectorSet(v_scale * np.array([E1, E2]))
+        ok, violation = verify_weak(vs, u_scale * np.array([E1]), 16.0)
         assert not ok
         label, x = violation
         assert label == 1
-        assert float(x @ E2) ** 2 > 16.0 * float(x @ E1) ** 2
+        assert float(x @ vs.vectors[1]) ** 2 > 16.0 * float(x @ (u_scale * E1)) ** 2
 
     def test_analytic_cover(self):
         vs = VectorSet(np.array([E1 + E2]))
@@ -366,6 +369,21 @@ class TestVerifyWeak:
         union = np.vstack([sp1.vectors, sp2.vectors])
         ok, _ = verify_weak(VectorSet(x), union, alpha)
         assert ok
+
+    def test_subnormal_row_is_zero_as_in_the_build(self):
+        # the build drops (0, 1e-309) as zero; the weak check skips it by the
+        # same test on the unscaled rows, though a joint scale would lift it
+        x = np.array([[1e-300, 0.0], [0.0, 1e-309]])
+        sp = build_d_spanner(VectorSet(x), 4.0)
+        assert sp.size == 1
+        assert verify_weak(VectorSet(x), sp, 4.0) == (True, None)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_row_past_the_float_range_below_u_fails(self):
+        # |u|/|v| = 1e309: the witness leaves the float range in
+        # domination_check, which overflows, but the row still fails
+        ok, _ = verify_weak(VectorSet(np.array([[0.0, 1e-9]])), np.array([[1e300, 0.0]]), 4.0)
+        assert not ok
 
     def test_screen_moves_no_verdict_nor_witness(self, weak_case, monkeypatch):
         # the screen marks only rows the domination LP covers too: with it
