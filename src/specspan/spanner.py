@@ -7,7 +7,9 @@ per-direction (weak) check share one coverage rule: a cheap screen, then the
 domination LP, which supplies the witness.  Exact per-vector certificates and
 the k-order check, which mixes a volume-greedy stage with a spanner built in
 the projected frame, share one certifier: the minimum-l1 representation of v
-over U (Elfving's theorem).  One scale-free rule decides which rows are zero.
+over U (Elfving's theorem).  Each rank-one k-order check is passed by a
+Weyl-Ky Fan trace bound or decided by linalg.preceq_k.  One scale-free rule
+decides which rows are zero.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ SCREEN_SLACK = 1e-6          # safety margin of the l1 coverage pre-screen
 SPAN_RESIDUAL_REL = 1e-9     # in-span test for the pre-screen
 NOT_IN_SPAN_REL = 1e-7
 DOMINANCE_TOL = 1e-9
+TRACE_BOUND_REL = 1e-12      # rounding margin of the k-order trace bound
 
 STAGE_VOLUME = "volume_greedy"
 STAGE_DSPANNER = "d_spanner"
@@ -250,8 +253,8 @@ def _certifier(u: np.ndarray):
 
     U's span frame and its exact-member map are computed once.  An exact
     member of U gets a point mass on its first copy; anything else gets the
-    l1 LP in the frame, where U has full rank, on U and v times the exact
-    linalg.unit_scale(U).  Raises NotInSpan.
+    l1 LP in the frame, where U has full rank, on U and v each times its own
+    exact linalg.unit_scale.  Raises NotInSpan.
     """
     basis = linalg.gram_schmidt(u)
     scale_u = linalg.unit_scale(u)
@@ -266,13 +269,13 @@ def _certifier(u: np.ndarray):
         if j is not None:
             c[j] = 1.0
             return c
-        vt = basis @ v
-        scale = linalg.unit_scale(v)  # the residual test is scale-free
-        resid = scale * (v - basis.T @ vt)
-        if linalg.vec_norm(resid) > NOT_IN_SPAN_REL * linalg.vec_norm(scale * v):
+        scale = linalg.unit_scale(v)
+        sv = scale * v  # exact; its frame coordinates cannot overflow
+        vt = basis @ sv
+        if linalg.vec_norm(sv - basis.T @ vt) > NOT_IN_SPAN_REL * linalg.vec_norm(sv):
             raise NotInSpan("vector has a component outside span(U)")
         try:
-            return np.abs(l1_representation(ut, scale_u * vt))
+            return np.abs(l1_representation(ut, vt)) * (scale_u / scale)
         except Infeasible as exc:
             raise NotInSpan("no representation of the vector over U") from exc
     return coefficients
@@ -396,12 +399,28 @@ def build_k_spanner(vs, k: int, params: SpannerParams | None = None,
     )
 
 
+def _outer_preceq_k(v: np.ndarray, b: np.ndarray, k: int, tol: float) -> bool:
+    """vv^T <=_k B: passed by a trace bound, else decided by linalg.preceq_k.
+
+    Since vv^T >= 0, Weyl's inequality puts the top k-1 eigenvalues of
+    B - vv^T at or below B's, whose sum is at most sqrt(k-1) ||B||_F
+    (Cauchy-Schwarz), so the tail preceq_k tests is at least
+    tr B - ||v||^2 - sqrt(k-1) ||B||_F.  Its pass needs a margin of
+    TRACE_BOUND_REL above rounding; every fail comes from preceq_k.
+    """
+    vv, tr, fro = float(v @ v), float(np.trace(b)), linalg.frob_norm(b)
+    if tr - vv - math.sqrt(k - 1) * fro > TRACE_BOUND_REL * (tr + vv + fro):
+        return True
+    return linalg.preceq_k(np.outer(v, v), b, k, tol)
+
+
 def projection_domination_holds(vs, m: int, k: int, tol: float = 1e-7) -> bool:
     """Orthogonal-component bound behind the volume-greedy stage.
 
     For U from volume_greedy(V, m) with m > 2k, every v satisfies
-    proj_perp(v) proj_perp(v)^T <=_k 2 m^(2k/m) * mean_u uu^T.  Every vector
-    is scaled by the input's linalg.unit_scale first, as in verify_k_spanner.
+    proj_perp(v) proj_perp(v)^T <=_k 2 m^(2k/m) * mean_u uu^T.  As in
+    verify_k_spanner, each check runs on the rows times the input's
+    linalg.unit_scale and is passed by the trace bound or decided by preceq_k.
     """
     v = as_vector_set(vs)
     x = linalg.unit_scale(v.vectors) * v.vectors  # exact; keeps every pick
@@ -415,7 +434,7 @@ def projection_domination_holds(vs, m: int, k: int, tol: float = 1e-7) -> bool:
     rhs = gamma * mean_outer
     for row in x:
         perp = linalg.project_orth(row, basis)
-        if not linalg.preceq_k(np.outer(perp, perp), rhs, k, tol):
+        if not _outer_preceq_k(perp, rhs, k, tol):
             return False
     return True
 
@@ -429,8 +448,9 @@ def verify_k_spanner(vs, sp: Spanner, k: int, alpha: float,
     domination certificate in the projected frame handles the rest, and the
     two are mixed with the constants the chain of inequalities dictates.  A
     plain d-spanner has no volume stage: its frame is the identity and the
-    uniform part has weight 0.  Every vector is scaled by the input's
-    linalg.unit_scale first: the slack of preceq_k is not scale-covariant.
+    uniform part has weight 0.  Each check runs on the rows times the input's
+    linalg.unit_scale (the slack of preceq_k is not scale-covariant) and is
+    passed by the trace bound or decided by preceq_k (_outer_preceq_k).
     """
     check_alpha(alpha)
     v = as_vector_set(vs)
@@ -463,6 +483,6 @@ def verify_k_spanner(vs, sp: Spanner, k: int, alpha: float,
             c1 = 2.0 * gamma * (1.0 + 2.0 / delta)
             c2 = 4.0 / delta
             mix = (c1 * mean_u0 + c2 * e_nu) / (c1 + c2)
-        if not linalg.preceq_k(np.outer(vec, vec), alpha * mix, k, tol):
+        if not _outer_preceq_k(vec, alpha * mix, k, tol):
             return False
     return True

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -476,6 +477,15 @@ class TestStrongCertificate:
         with pytest.raises(NotInSpan):
             strong_certificate(np.array(v), np.array(u), 4.0)
 
+    def test_frame_coordinates_of_a_huge_vector_do_not_overflow(self):
+        # v = (26 u1 + u2) / 27 lies in span(U), but its unscaled frame
+        # coordinates overflow; they are taken on v times unit_scale(v)
+        cert = strong_certificate(np.array([1.7e308, 1.6e308]),
+                                  np.array([[1.7e308, 1.7e308], [1.7e308, -1e308]]), 4.0)
+        assert cert.delta == pytest.approx(1.0, rel=1e-12)
+        assert dict(cert.support) == pytest.approx({0: 26 / 27, 1: 1 / 27}, rel=1e-12)
+        assert cert.passes(4.0)
+
     def test_all_ones_over_axes_fails_at_four(self):
         # the minimum-l1 representation of E1+E2+E3 over the axes is (1,1,1):
         # delta = 1/9 < 1/4, and the weak check finds a direction to match
@@ -732,6 +742,49 @@ class TestBuildKSpanner:
         assert verify_k_spanner(VectorSet(scale * x), sp, 2, sp.alpha)
 
 
+PLAIN_D_CASES = [
+    (4, 2, 1.0 + 1e-9, False), (4, 2, 4.0, True), (4, 4, 4.0, False),
+    (6, 1, 1.0 + 1e-9, True), (6, 3, 4.0, True), (6, 6, 10.0, False),
+    (6, 6, 40.0, True)]
+PROJECTION_SCALES = [1.0, 2.0 ** 600, 2.0 ** -600, 1e160, 1e-160]
+
+
+@pytest.fixture
+def jacobi_only(monkeypatch):
+    """Turn the trace bound off: every k-order check goes to linalg.preceq_k."""
+    monkeypatch.setattr(spanner, "TRACE_BOUND_REL", math.inf)
+
+
+def count_sym_eig(monkeypatch) -> list:
+    calls = []
+    eig = linalg.sym_eig
+    monkeypatch.setattr(linalg, "sym_eig", lambda a: calls.append(1) or eig(a))
+    return calls
+
+
+class TestOuterPreceqK:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(2, 8).flatmap(lambda d: st.tuples(
+               st.integers(1, d), st.integers(1, 3 * d), st.integers(0, 2 ** 32 - 1),
+               st.floats(0.0, 3.0), st.sampled_from([2.0 ** -200, 1.0, 2.0 ** 200]),
+               st.just(d))))
+    def test_a_pass_by_the_bound_is_a_true_pass(self, case):
+        k, rows, seed, size, scale, d = case
+        g = np.random.default_rng(seed)
+        y = scale * g.standard_normal((rows, d))
+        b = y.T @ y  # PSD at scale 2^-400, 1 or 2^400
+        v = scale * size * math.sqrt(rows) * g.standard_normal(d)
+        a = np.outer(v, v)
+        tail = float(np.sum(np.linalg.eigvalsh(b - a)[:d - k + 1]))
+        with mock.patch.object(linalg, "preceq_k", wraps=linalg.preceq_k) as jacobi:
+            verdict = spanner._outer_preceq_k(v, b, k, linalg.DEFAULT_ORDER_TOL)
+        if not jacobi.called:
+            assert verdict and tail >= 0.0
+        slack = 1e-6 * (np.linalg.norm(a) + np.linalg.norm(b))
+        if abs(tail) > slack:
+            assert verdict == linalg.preceq_k(a, b, k)
+
+
 class TestVerifyKSpanner:
     def test_degenerate_passes_at_generous_alpha(self, rng):
         d, k = 8, 3
@@ -745,10 +798,7 @@ class TestVerifyKSpanner:
         sp = build_k_spanner(vs, 2)
         assert verify_k_spanner(vs, sp, 2, 32.0)
 
-    @pytest.mark.parametrize("d, k, alpha, verdict", [
-        (4, 2, 1.0 + 1e-9, False), (4, 2, 4.0, True), (4, 4, 4.0, False),
-        (6, 1, 1.0 + 1e-9, True), (6, 3, 4.0, True), (6, 6, 10.0, False),
-        (6, 6, 40.0, True)])
+    @pytest.mark.parametrize("d, k, alpha, verdict", PLAIN_D_CASES)
     def test_plain_d_spanner_matches_certificate_mixture(self, d, k, alpha, verdict):
         x = unit_rows(np.random.default_rng(d + k), 60, d)
         sp = build_d_spanner(VectorSet(x), default_alpha(d))
@@ -774,8 +824,33 @@ class TestVerifyKSpanner:
             x = unit_rows(rng, 80, 8)
             assert projection_domination_holds(VectorSet(x), 2 * k + 2, k)
 
-    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 600, 2.0 ** -600, 1e160, 1e-160])
+    @pytest.mark.parametrize("scale", PROJECTION_SCALES)
     def test_projection_domination_is_scale_free(self, scale):
         # its rows are scaled by linalg.unit_scale first, as verify_k_spanner's are
         x = unit_rows(np.random.default_rng(0), 40, 12)
         assert projection_domination_holds(VectorSet(scale * x), 8, 2)
+
+    def test_certify_strong_shape_runs_no_jacobi(self, monkeypatch):
+        # 2 unit rows in R^16, k = 2: every check is passed by the bound
+        x = unit_rows(np.random.default_rng(7), 2, 16)
+        sp = build_k_spanner(VectorSet(x), 2)
+        calls = count_sym_eig(monkeypatch)
+        assert verify_k_spanner(VectorSet(x), sp, 2, 32.0 * 2 * (1.0 + math.log(2)) ** 3)
+        assert calls == []
+
+    def test_a_fail_comes_from_jacobi(self, monkeypatch, rng):
+        calls = count_sym_eig(monkeypatch)
+        self.test_fails_at_tiny_alpha(rng)
+        assert len(calls) >= 1
+
+    @pytest.mark.parametrize("d, k, alpha, verdict", PLAIN_D_CASES)
+    def test_plain_d_spanner_by_jacobi_alone(self, jacobi_only, d, k, alpha, verdict):
+        self.test_plain_d_spanner_matches_certificate_mixture(
+            d, k, alpha, verdict)
+
+    def test_fails_at_tiny_alpha_by_jacobi_alone(self, jacobi_only, rng):
+        self.test_fails_at_tiny_alpha(rng)
+
+    @pytest.mark.parametrize("scale", PROJECTION_SCALES)
+    def test_projection_domination_by_jacobi_alone(self, jacobi_only, scale):
+        self.test_projection_domination_is_scale_free(scale)
